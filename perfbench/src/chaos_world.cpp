@@ -1,0 +1,387 @@
+// Traced replay of one chaos scenario; see chaos_world.hpp.  The world
+// below is assembled in the same order as fuzz::run_scenario's — any change
+// there must be mirrored here, and chaos_mix's trace comparison fails until
+// it is.
+#include "chaos_world.hpp"
+
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+
+#include "newtop/newtop_service.hpp"
+#include "newtop/recovery_manager.hpp"
+#include "window.hpp"
+
+namespace perfbench {
+
+using namespace newtop;
+using namespace newtop::fuzz;
+using namespace newtop::sim_literals;
+
+namespace {
+
+/// run_scenario's stateless echo servant, with a handle span.
+class EchoServant : public GroupServant {
+public:
+    explicit EchoServant(Tracer* tracer) : tracer_(tracer) {}
+    Bytes handle(std::uint32_t, const Bytes& args) override {
+        SpanGuard span(tracer_, "servant.handle", 0);
+        return args;
+    }
+
+private:
+    Tracer* tracer_;
+};
+
+LinkParams to_params(const LinkSpec& link) {
+    return LinkParams{.latency = static_cast<SimDuration>(link.latency_us),
+                      .jitter = static_cast<SimDuration>(link.jitter_us),
+                      .loss = link.loss,
+                      .bytes_per_us = link.bytes_per_us};
+}
+
+std::string service_name(int j) { return "svc" + std::to_string(j); }
+
+}  // namespace
+
+ReplayStats replay_scenario(const Scenario& scenario, Tracer& tracer, LayerAccumulator& layers) {
+    ReplayStats stats;
+    SpanGuard scenario_span(&tracer, "scenario", scenario.seed);
+    // -- world ---------------------------------------------------------------
+    Scheduler scheduler;
+    Topology topology;
+    for (int sidx = 0; sidx < scenario.sites; ++sidx) {
+        topology.add_site("site" + std::to_string(sidx), to_params(scenario.lan));
+    }
+    for (int a = 0; a < scenario.sites; ++a) {
+        for (int b = a + 1; b < scenario.sites; ++b) {
+            topology.set_link(SiteId(static_cast<SiteId::rep_type>(a)),
+                              SiteId(static_cast<SiteId::rep_type>(b)),
+                              to_params(scenario.wan));
+        }
+    }
+    Network net(scheduler, std::move(topology), scenario.seed);
+    const WorldSnapshot before = snapshot(net);
+    net.metrics().set_trace_sink(&tracer);
+    Directory directory;
+
+    struct Actor {
+        std::unique_ptr<Orb> orb;
+        std::unique_ptr<NewTopService> nso;
+    };
+    auto spawn = [&](int site) {
+        Actor actor;
+        actor.orb = std::make_unique<Orb>(
+            net, net.add_node(SiteId(static_cast<SiteId::rep_type>(site))));
+        actor.nso = std::make_unique<NewTopService>(*actor.orb, directory);
+        return actor;
+    };
+
+    // -- servers -------------------------------------------------------------
+    // Every server replica runs under a RecoveryManager so kRestart faults
+    // exercise the real recovery pipeline: fresh NSO, re-serve, peer-group
+    // rejoin, and (for joiners) the normal membership state machine.
+    struct PeerJoin {
+        std::string name;
+        GroupConfig config;
+    };
+    struct ServerRt {
+        std::unique_ptr<RecoveryManager> mgr;
+        /// Peer groups this actor belongs to; the generation factory
+        /// replays these joins after every restart.
+        std::vector<PeerJoin> peer_specs;
+        /// Current-generation peer handles (replaced on restart).
+        std::map<std::string, PeerGroup> peer_by_name;
+        bool restarted{false};  // targeted by a kRestart fault
+    };
+    std::vector<std::unique_ptr<ServerRt>> servers;  // Scenario::server_actor order
+    for (std::size_t j = 0; j < scenario.services.size(); ++j) {
+        const ServiceSpec& svc = scenario.services[j];
+        GroupConfig config;
+        config.order = svc.order;
+        config.liveness = svc.liveness;
+        const std::string name = service_name(static_cast<int>(j));
+        for (const int site : svc.server_sites) {
+            auto rt = std::make_unique<ServerRt>();
+            ServerRt* raw = rt.get();
+            auto factory = [raw, name, config, &tracer](NewTopService& nso,
+                                                        std::function<void()> note_recovered) {
+                nso.serve(name, config,
+                          std::make_shared<RecoveryProbeServant>(
+                              std::make_shared<EchoServant>(&tracer), std::move(note_recovered)));
+                raw->peer_by_name.clear();
+                for (const PeerJoin& peer : raw->peer_specs) {
+                    raw->peer_by_name.emplace(
+                        peer.name, nso.join_peer_group(peer.name, peer.config,
+                                                       [](const NewTopService::PeerMessage&) {}));
+                }
+                RecoveryManager::Generation gen;
+                gen.ready = [&nso, name] { return nso.invocation().serving(name); };
+                return gen;
+            };
+            rt->mgr = std::make_unique<RecoveryManager>(
+                net, directory, SiteId(static_cast<SiteId::rep_type>(site)),
+                std::move(factory));
+            servers.push_back(std::move(rt));
+            stats.events += advance(scheduler, scheduler.now() + 300_ms, &tracer);
+        }
+    }
+
+    // -- clients -------------------------------------------------------------
+    struct ClientRt {
+        Actor actor;
+        GroupProxy proxy;
+        const ClientSpec* spec{nullptr};
+        std::map<std::string, PeerGroup> peers;
+        int issued{0};
+        int done{0};
+    };
+    std::vector<std::unique_ptr<ClientRt>> clients;
+    for (const ClientSpec& spec : scenario.clients) {
+        auto rt = std::make_unique<ClientRt>();
+        rt->actor = spawn(spec.site);
+        rt->spec = &spec;
+        BindOptions bind;
+        bind.mode = spec.bind;
+        bind.restricted = spec.restricted;
+        bind.async_forwarding = spec.async_forwarding;
+        bind.cs_order = spec.cs_order;
+        bind.call_timeout = static_cast<SimDuration>(spec.call_timeout_us);
+        rt->proxy = rt->actor.nso->bind(service_name(spec.service), bind);
+        clients.push_back(std::move(rt));
+    }
+    stats.events += advance(scheduler, scheduler.now() + static_cast<SimDuration>(scenario.settle_us), &tracer);
+
+    // -- overlapping peer groups ----------------------------------------------
+    const int total_servers = scenario.total_servers();
+    for (std::size_t p = 0; p < scenario.peers.size(); ++p) {
+        const PeerSpec& peer = scenario.peers[p];
+        GroupConfig config;
+        config.order = peer.order;
+        config.liveness = LivenessMode::kLively;
+        const std::string name = "peer" + std::to_string(p);
+        for (const int member : peer.members) {
+            const auto noop = [](const NewTopService::PeerMessage&) {};
+            if (member < total_servers) {
+                ServerRt& rt = *servers[static_cast<std::size_t>(member)];
+                rt.peer_specs.push_back({name, config});
+                rt.peer_by_name.emplace(name,
+                                        rt.mgr->nso().join_peer_group(name, config, noop));
+            } else {
+                ClientRt& rt = *clients[static_cast<std::size_t>(member - total_servers)];
+                rt.peers.emplace(name, rt.actor.nso->join_peer_group(name, config, noop));
+            }
+            stats.events += advance(scheduler, scheduler.now() + 300_ms, &tracer);
+        }
+    }
+    stats.events += advance(scheduler, scheduler.now() + 500_ms, &tracer);
+
+    // -- workload ------------------------------------------------------------
+    const SimTime start = scheduler.now();
+    std::function<void(std::size_t)> issue = [&](std::size_t i) {
+        ClientRt& rt = *clients[i];
+        if (rt.issued >= rt.spec->calls) return;
+        ++rt.issued;
+        const std::uint64_t call = (static_cast<std::uint64_t>(i) << 32) |
+                                   static_cast<std::uint64_t>(rt.issued);
+        Bytes payload(rt.spec->payload_bytes,
+                      static_cast<std::uint8_t>(rt.issued & 0xff));
+        SpanGuard span(&tracer, "invoke", call);
+        rt.proxy.invoke(1, std::move(payload), rt.spec->mode, [&, i, call](const GroupReply&) {
+            SpanGuard done(&tracer, "complete", call);
+            ++rt.done;
+            scheduler.schedule_after(static_cast<SimDuration>(rt.spec->think_us),
+                                     [&, i] { issue(i); });
+        });
+    };
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+        // Deterministic stagger so clients don't all fire on one tick.
+        scheduler.schedule_after(static_cast<SimDuration>(i) * 7'000, [&, i] { issue(i); });
+    }
+    // Peer publishes spread evenly over the workload window.  Handles are
+    // resolved at fire time: a restarted server publishes through its
+    // current generation's handle (and skips the publish while its rejoin
+    // is still in flight).
+    auto publish_as = [&](int member, const std::string& name, int k) {
+        PeerGroup* group = nullptr;
+        if (member < total_servers) {
+            auto& by_name = servers[static_cast<std::size_t>(member)]->peer_by_name;
+            if (const auto it = by_name.find(name); it != by_name.end()) group = &it->second;
+        } else {
+            auto& peers = clients[static_cast<std::size_t>(member - total_servers)]->peers;
+            if (const auto it = peers.find(name); it != peers.end()) group = &it->second;
+        }
+        if (group == nullptr || !group->joined()) return;
+        const std::string text = "chaos" + std::to_string(k);
+        group->publish(Bytes(text.begin(), text.end()));
+    };
+    for (std::size_t p = 0; p < scenario.peers.size(); ++p) {
+        const PeerSpec& peer = scenario.peers[p];
+        const std::string name = "peer" + std::to_string(p);
+        for (const int member : peer.members) {
+            for (int k = 0; k < peer.publishes_per_member; ++k) {
+                const SimDuration at = static_cast<SimDuration>(
+                    (static_cast<std::uint64_t>(k) + 1) * scenario.run_us /
+                    (static_cast<std::uint64_t>(peer.publishes_per_member) + 1));
+                scheduler.schedule_at(start + at,
+                                      [&publish_as, member, name, k] { publish_as(member, name, k); });
+            }
+        }
+    }
+
+    // -- fault plan -----------------------------------------------------------
+    std::set<std::uint64_t> exempt;  // endpoint ids of crashed clients
+    for (const FaultSpec& fault : scenario.faults) {
+        const SimTime at = start + static_cast<SimDuration>(fault.at_us);
+        switch (fault.kind) {
+            case FaultSpec::Kind::kCrashServer: {
+                ServerRt& server = *servers[static_cast<std::size_t>(
+                    scenario.server_actor(fault.a, fault.b))];
+                NodeId node = server.mgr->node_id();
+                scheduler.schedule_at(at, [&net, node] { net.crash(node); });
+                break;
+            }
+            case FaultSpec::Kind::kRestart: {
+                ServerRt& server = *servers[static_cast<std::size_t>(
+                    scenario.server_actor(fault.a, fault.b))];
+                server.restarted = true;
+                NodeId node = server.mgr->node_id();
+                scheduler.schedule_at(at, [&net, node] { net.restart(node, 0); });
+                break;
+            }
+            case FaultSpec::Kind::kCrashClient: {
+                ClientRt& rt = *clients[static_cast<std::size_t>(fault.a)];
+                exempt.insert(rt.actor.nso->id().value());
+                NodeId node = rt.actor.orb->node_id();
+                scheduler.schedule_at(at, [&net, node] { net.crash(node); });
+                break;
+            }
+            case FaultSpec::Kind::kPartitionSite: {
+                const SiteId site(static_cast<SiteId::rep_type>(fault.a));
+                const int cell = fault.b;
+                scheduler.schedule_at(at, [&net, site, cell] { net.partition_site(site, cell); });
+                break;
+            }
+            case FaultSpec::Kind::kHeal:
+                scheduler.schedule_at(at, [&net] { net.heal(); });
+                break;
+            case FaultSpec::Kind::kLossBurst: {
+                const double loss = fault.loss;
+                scheduler.schedule_at(at, [&net, loss] { net.set_extra_loss(loss); });
+                scheduler.schedule_at(at + static_cast<SimDuration>(fault.duration_us),
+                                      [&net] { net.set_extra_loss(0.0); });
+                break;
+            }
+            case FaultSpec::Kind::kSlowNode: {
+                ServerRt& server = *servers[static_cast<std::size_t>(
+                    scenario.server_actor(fault.a, fault.b))];
+                NodeId node = server.mgr->node_id();
+                const double factor = fault.loss;
+                scheduler.schedule_at(at,
+                                      [&net, node, factor] { net.set_cpu_slowdown(node, factor); });
+                scheduler.schedule_at(at + static_cast<SimDuration>(fault.duration_us),
+                                      [&net, node] { net.set_cpu_slowdown(node, 1.0); });
+                break;
+            }
+            case FaultSpec::Kind::kLinkDegrade: {
+                const SiteId sa(static_cast<SiteId::rep_type>(fault.a));
+                const SiteId sb(static_cast<SiteId::rep_type>(fault.b));
+                LinkDegrade degrade;
+                degrade.extra_latency = static_cast<SimDuration>(fault.extra_us);
+                degrade.extra_jitter = static_cast<SimDuration>(fault.extra_us / 4);
+                degrade.extra_loss = fault.loss;
+                scheduler.schedule_at(
+                    at, [&net, sa, sb, degrade] { net.set_link_degrade(sa, sb, degrade); });
+                scheduler.schedule_at(at + static_cast<SimDuration>(fault.duration_us),
+                                      [&net, sa, sb] { net.clear_link_degrade(sa, sb); });
+                break;
+            }
+            case FaultSpec::Kind::kFlap:
+                // schedule_flap lays out every transition up front; the last
+                // one always rejoins the site, so flaps are self-healing.
+                net.schedule_flap(SiteId(static_cast<SiteId::rep_type>(fault.a)), at, fault.b,
+                                  static_cast<SimDuration>(fault.extra_us),
+                                  static_cast<SimDuration>(fault.extra_us), /*cell=*/9);
+                break;
+            case FaultSpec::Kind::kReconfigure: {
+                // Resolved at fire time: the first live, installed replica of
+                // the service proposes a runtime switch of the group's
+                // total-order protocol through the group's own ordered
+                // stream.  If every replica is down or mid-rejoin the fault
+                // is a no-op — exactly what a real operator's request would
+                // be against an unreachable group.
+                const int j = fault.a;
+                const OrderMode target = fault.b == 0 ? OrderMode::kTotalAsymmetric
+                                                      : OrderMode::kTotalSymmetric;
+                scheduler.schedule_at(at, [&, j, target] {
+                    const auto* info = directory.find_group(service_name(j));
+                    if (info == nullptr) return;
+                    const int replicas = static_cast<int>(
+                        scenario.services[static_cast<std::size_t>(j)].server_sites.size());
+                    for (int k = 0; k < replicas; ++k) {
+                        ServerRt& server = *servers[static_cast<std::size_t>(
+                            scenario.server_actor(j, k))];
+                        if (net.node(server.mgr->node_id()).crashed()) continue;
+                        GroupCommEndpoint& gc = server.mgr->nso().group_comm();
+                        if (!gc.is_member(info->id)) continue;
+                        const GroupConfig* current = gc.group_config(info->id);
+                        if (current == nullptr || current->order == target) return;
+                        GroupConfig next = *current;
+                        next.order = target;
+                        gc.reconfigure(info->id, next);
+                        return;
+                    }
+                });
+                break;
+            }
+        }
+    }
+
+    // -- run + drain -----------------------------------------------------------
+    stats.events += advance(scheduler, start + static_cast<SimDuration>(scenario.run_us), &tracer);
+    stats.events += advance(scheduler, scheduler.now() + static_cast<SimDuration>(scenario.drain_us), &tracer);
+    // Bounded extra windows: a still-working scenario (slow rebind chains,
+    // a restarted replica mid-resync) gets time to finish; a genuine hang
+    // survives them and is reported.
+    auto recovery_pending = [&] {
+        for (const auto& rt : servers) {
+            if (rt->restarted && !net.node(rt->mgr->node_id()).crashed() &&
+                !rt->mgr->recovered()) {
+                return true;
+            }
+        }
+        return false;
+    };
+    for (int guard = 0; guard < 8; ++guard) {
+        bool all_done = !recovery_pending();
+        for (const auto& rt : clients) {
+            if (exempt.contains(rt->actor.nso->id().value())) continue;
+            all_done &= rt->done >= rt->spec->calls;
+        }
+        if (all_done) break;
+        stats.events += advance(scheduler, scheduler.now() + 5_s, &tracer);
+    }
+
+    net.metrics().set_trace_sink(nullptr);
+    layers.add_window(before, net);
+
+    for (std::size_t j = 0; j < scenario.services.size(); ++j) {
+        if (scenario.services[j].order != OrderMode::kCausal) continue;
+        const auto* info = directory.find_group(service_name(static_cast<int>(j)));
+        if (info != nullptr) stats.causal_groups.insert(info->id.value());
+    }
+    for (std::size_t p = 0; p < scenario.peers.size(); ++p) {
+        if (scenario.peers[p].order != OrderMode::kCausal) continue;
+        const auto* info = directory.find_group("peer" + std::to_string(p));
+        if (info != nullptr) stats.causal_groups.insert(info->id.value());
+    }
+
+    stats.profile = profile(tracer.events(), net.metrics());
+    return stats;
+}
+
+}  // namespace perfbench
