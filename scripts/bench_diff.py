@@ -15,7 +15,8 @@ Two schemas are understood:
 A regression beyond the threshold (default 10%) produces a WARNING line;
 the exit code stays 0 (the diff is advisory -- sim-time numbers are
 deterministic, so a warning means the *code* changed, not the machine).
-Pass --strict to turn warnings into a non-zero exit.
+Pass --strict to turn warnings into a non-zero exit; scripts/check.sh
+--bench (and so CI) does.
 """
 
 import argparse

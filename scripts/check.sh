@@ -1,27 +1,28 @@
 #!/usr/bin/env bash
 # Full local check: build + tier-1 ctest (which includes the newtop_lint
-# whole-tree scan) on the plain tree, then again with AddressSanitizer +
-# UBSan (the NEWTOP_SANITIZE cmake option), so the sanitizer configuration
-# is exercised routinely rather than manually.  Both trees build with
-# NEWTOP_WERROR=ON (the default).
+# whole-tree scan) on the plain tree, then again as an optimised Release
+# build, then with AddressSanitizer + UBSan (the NEWTOP_SANITIZE cmake
+# option), so every shipped configuration is exercised routinely rather
+# than manually.  All trees build with NEWTOP_WERROR=ON (the default).
 #
 # Usage: scripts/check.sh [--lint] [--tidy] [--campaign [N]] [--bench] [extra ctest args...]
 #
-#   (default)        run the tier-1 suite (ctest -L tier1) in both trees
+#   (default)        run the tier-1 suite (ctest -L tier1) in every tree
 #   --lint           fast path: build only newtop_lint and scan the tree,
 #                    then run scripts/format.sh --check; no tests
 #   --tidy           additionally build a clang-tidy tree (build-tidy,
 #                    -DNEWTOP_CLANG_TIDY=ON); skipped with a notice when
 #                    clang-tidy is not installed
 #   --campaign [N]   additionally run the chaos campaign over N seeds
-#                    (default 200) in both trees.  On failure the campaign
+#                    (default 200) in every tree.  On failure the campaign
 #                    prints the failing seed; replay it with
 #                        NEWTOP_FUZZ_SEED=<seed> build/tools/newtop_fuzz
 #   --bench          fast path: build and run the LAN saturation,
 #                    latency-breakdown and reconfig benchmarks into build/, gate the
 #                    trace dumps through newtop_prof (phase sums must
 #                    reconcile with the histograms within 1%), diff against
-#                    the committed BENCH_*.json baselines, then refresh the
+#                    the committed BENCH_*.json baselines (strict: a
+#                    simulated-time regression fails the run), then refresh the
 #                    repo-root artifacts so the new numbers can be
 #                    committed; no tests
 set -euo pipefail
@@ -92,10 +93,10 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
         build/tools/newtop_prof "${dump}" | head -2
     done
     echo "== diff vs committed baselines"
-    python3 scripts/bench_diff.py build/BENCH_saturation.json
-    python3 scripts/bench_diff.py build/BENCH_latency_breakdown.json
-    python3 scripts/bench_diff.py build/BENCH_reconfig.json
-    python3 scripts/bench_diff.py build/BENCH_gray_failure.json
+    python3 scripts/bench_diff.py --strict build/BENCH_saturation.json
+    python3 scripts/bench_diff.py --strict build/BENCH_latency_breakdown.json
+    python3 scripts/bench_diff.py --strict build/BENCH_reconfig.json
+    python3 scripts/bench_diff.py --strict build/BENCH_gray_failure.json
     cp build/BENCH_saturation.json BENCH_saturation.json
     cp build/BENCH_latency_breakdown.json BENCH_latency_breakdown.json
     cp build/BENCH_reconfig.json BENCH_reconfig.json
@@ -152,6 +153,7 @@ run_tree() {
 }
 
 run_tree build
+run_tree build-release -DCMAKE_BUILD_TYPE=Release
 run_tree build-asan -DNEWTOP_SANITIZE=address,undefined
 
 if [[ "${TIDY}" == 1 ]]; then

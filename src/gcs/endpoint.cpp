@@ -82,40 +82,23 @@ GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
     service_ior_ = orb_->adapter().activate(std::make_shared<GcsServant>(this), "NewTopGCS");
     id_ = directory_->register_endpoint(service_ior_);
 
-    // Flow-control / ordering occupancy gauges, summed over this endpoint's
-    // groups; sampled on the world's gauge ticks (enable_gauge_sampling).
+    // Flow-control / ordering occupancy gauges, each summing one per-group
+    // quantity over this endpoint's groups; sampled on the world's gauge
+    // ticks (enable_gauge_sampling).
     gauge_registry_ = &metrics();
-    gauges_.push_back(gauge_registry_->register_gauge(obs::metric::kGcsHoldback, [this](SimTime) {
-        std::uint64_t total = 0;
-        for (const auto& [id, g] : groups_) {
-            switch (g.config.order) {
-                case OrderMode::kTotalSymmetric: total += g.symmetric.pending_count(); break;
-                case OrderMode::kTotalAsymmetric: total += g.sequencer.pending_count(); break;
-                case OrderMode::kCausal: total += g.causal.pending_count(); break;
-            }
-        }
-        return total;
-    }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsCreditsInFlight, [this](SimTime) {
+    const auto sum_gauge = [this](std::string_view name, auto of) {
+        gauges_.push_back(gauge_registry_->register_gauge(name, [this, of](SimTime) {
             std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) total += g.inflight_sends;
+            for (const auto& [id, g] : groups_) total += of(g);
             return total;
         }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsBlockedSends, [this](SimTime) {
-            std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) {
-                total += g.coalesce_queue.size() + g.blocked_sends.size();
-            }
-            return total;
-        }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsConfigEpoch, [this](SimTime) {
-            std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) total += g.config_epoch;
-            return total;
-        }));
+    };
+    sum_gauge(obs::metric::kGcsHoldback, [](const Group& g) { return pending_count(g.engine); });
+    sum_gauge(obs::metric::kGcsCreditsInFlight, [](const Group& g) { return g.inflight_sends; });
+    sum_gauge(obs::metric::kGcsBlockedSends, [](const Group& g) {
+        return g.coalesce_queue.size() + g.blocked_sends.size();
+    });
+    sum_gauge(obs::metric::kGcsConfigEpoch, [](const Group& g) { return g.config_epoch; });
 }
 
 void GroupCommEndpoint::ensure_phi_gauge(EndpointId peer) {
@@ -178,22 +161,14 @@ GroupCommEndpoint::GroupStats GroupCommEndpoint::group_stats(GroupId group) cons
     stats.unstable = g->unstable.size();
     stats.nulls_sent = g->nulls_sent;
     stats.delivered = g->delivered_count;
-    switch (g->config.order) {
-        case OrderMode::kTotalSymmetric: stats.holdback = g->symmetric.pending_count(); break;
-        case OrderMode::kTotalAsymmetric: stats.holdback = g->sequencer.pending_count(); break;
-        case OrderMode::kCausal: stats.holdback = g->causal.pending_count(); break;
-    }
+    stats.holdback = pending_count(g->engine);
     return stats;
 }
 
 std::size_t GroupCommEndpoint::pending_load() const {
     std::size_t load = 0;
     for (const auto& [id, g] : groups_) {
-        switch (g.config.order) {
-            case OrderMode::kTotalSymmetric: load += g.symmetric.pending_count(); break;
-            case OrderMode::kTotalAsymmetric: load += g.sequencer.pending_count(); break;
-            case OrderMode::kCausal: load += g.causal.pending_count(); break;
-        }
+        load += pending_count(g.engine);
         load += g.blocked_sends.size();
         load += g.coalesce_queue.size();
         load += g.release_queue.size();
@@ -479,8 +454,8 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     }
     if (orders_like_app(kind)) {
         msg.knowledge = knowledge_snapshot(g.id);
-        if (g.config.order == OrderMode::kCausal) {
-            msg.causal_vc = g.causal.delivered_vector();
+        if (const auto* causal = std::get_if<CausalOrder>(&g.engine)) {
+            msg.causal_vc = causal->delivered_vector();
         }
         note_knowledge(g.id, msg.epoch, id_, msg.seq + 1);
     }
@@ -494,17 +469,9 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
 
     // Local self-ingest: feed our own message straight to the engine.
     if (kind == DataKind::kApplication) note_payload_arrival(msg);
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: g.symmetric.on_data(msg); break;
-        case OrderMode::kTotalAsymmetric:
-            if (msg.kind == DataKind::kOrder) {
-                // Our own order record: assignments already in the engine.
-            } else {
-                g.sequencer.on_data(msg);
-            }
-            break;
-        case OrderMode::kCausal: g.causal.on_data(msg); break;
-    }
+    // Only a sequencer sends order records, and their assignments are
+    // already in its engine.
+    if (kind != DataKind::kOrder) on_data(g.engine, msg);
     pump(g);
     kick_liveness(g);
 }
@@ -556,17 +523,15 @@ void GroupCommEndpoint::handle_data(DataMsg msg) {
     if (msg.kind == DataKind::kNull) {
         // The null advertises the sender's own send count; if we hold its
         // full stream we may let the null's timestamp advance the symmetric
-        // order.  Otherwise a lost message with a lower timestamp could
-        // still be in flight (retransmission), and advancing would break
-        // the total order — so we NACK instead and wait.
+        // order (the other engines ignore nulls).  Otherwise a lost message
+        // with a lower timestamp could still be in flight (retransmission),
+        // and advancing would break the total order — so we NACK and wait.
         Seqno sender_count = 0;
         for (const auto& [member, count] : msg.received_counts) {
             if (member == msg.sender) sender_count = count;
         }
         const bool stream_complete = sender_count <= stream.next_expected;
-        if (g.config.order == OrderMode::kTotalSymmetric && stream_complete) {
-            g.symmetric.on_data(msg);
-        }
+        if (stream_complete) on_data(g.engine, msg);
         apply_stability_report(g, msg.sender, msg.received_counts);
         if (!stream_complete && stream.out_of_order.empty()) {
             schedule_nack(g, msg.sender);
@@ -626,60 +591,37 @@ void GroupCommEndpoint::note_payload_arrival(const DataMsg& msg) {
 void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
     note_payload_arrival(msg);
     g.unstable.emplace(MsgRef{msg.sender, msg.seq}, msg);
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric:
-            g.symmetric.on_data(msg);
-            break;
-        case OrderMode::kTotalAsymmetric:
-            if (msg.kind == DataKind::kOrder) {
-                try {
-                    g.sequencer.on_order(decode_order_payload(msg));
-                } catch (const DecodeError& err) {
-                    NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
-                }
-            } else {
-                g.sequencer.on_data(msg);
-            }
-            break;
-        case OrderMode::kCausal:
-            g.causal.on_data(msg);
-            break;
+    auto* sequencer = std::get_if<SequencerOrder>(&g.engine);
+    if (sequencer == nullptr || msg.kind != DataKind::kOrder) {
+        on_data(g.engine, msg);
+        return;
+    }
+    try {
+        sequencer->on_order(decode_order_payload(msg));
+    } catch (const DecodeError& err) {
+        NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
     }
 }
 
 void GroupCommEndpoint::pump(Group& g) {
     if (g.state != Group::State::kNormal) return;
-    std::vector<DataMsg> ordered;
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric:
-            ordered = g.symmetric.take_deliverable();
-            break;
-        case OrderMode::kTotalAsymmetric: {
-            // Sequencer: fresh assignments are not broadcast inline — the
-            // flush runs at the end of the current event step, so every data
-            // ref assigned at this instant shares one multi-assignment ORDER
-            // broadcast instead of costing one broadcast each.
-            schedule_order_flush(g);
-            ordered = g.sequencer.take_deliverable();
-            break;
-        }
-        case OrderMode::kCausal:
-            ordered = g.causal.take_deliverable();
-            break;
-    }
-    std::size_t holdback = 0;
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: holdback = g.symmetric.pending_count(); break;
-        case OrderMode::kTotalAsymmetric: holdback = g.sequencer.pending_count(); break;
-        case OrderMode::kCausal: holdback = g.causal.pending_count(); break;
-    }
-    metrics().observe(obs::metric::kGcsHoldbackDepth, static_cast<SimDuration>(holdback));
+    // Sequencer: fresh assignments are not broadcast inline — the flush runs
+    // at the end of the current event step, so every data ref assigned at
+    // this instant shares one multi-assignment ORDER broadcast instead of
+    // costing one broadcast each.
+    schedule_order_flush(g);
+    std::vector<DataMsg> ordered = take_deliverable(g.engine);
+    metrics().observe(obs::metric::kGcsHoldbackDepth,
+                      static_cast<SimDuration>(pending_count(g.engine)));
     for (auto& msg : ordered) g.release_queue.push_back(std::move(msg));
     try_release_all();
 }
 
 void GroupCommEndpoint::schedule_order_flush(Group& g) {
-    if (!g.sequencer.is_sequencer() || g.sequencer.fresh_count() == 0) return;
+    const auto* sequencer = std::get_if<SequencerOrder>(&g.engine);
+    if (sequencer == nullptr || !sequencer->is_sequencer() || sequencer->fresh_count() == 0) {
+        return;
+    }
     if (g.order_flush_timer != 0) return;
     const GroupId id = g.id;
     // Zero delay: the scheduler's FIFO tie-break at equal timestamps runs
@@ -690,7 +632,11 @@ void GroupCommEndpoint::schedule_order_flush(Group& g) {
 
 void GroupCommEndpoint::flush_order(Group& g) {
     const SimTime now = orb_->scheduler().now();
-    while (auto order = g.sequencer.take_order_to_send()) {
+    // Looked up afresh each pass: send_data can deliver synchronously, and a
+    // delivered reconfiguration can install a view that replaces the engine.
+    while (auto* sequencer = std::get_if<SequencerOrder>(&g.engine)) {
+        auto order = sequencer->take_order_to_send();
+        if (!order.has_value()) break;
         metrics().observe(obs::metric::kGcsOrderBatchRefs,
                           static_cast<SimDuration>(order->refs.size()));
         // Sequencer-turnaround boundary: each ref now has an agreed position

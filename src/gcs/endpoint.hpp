@@ -229,10 +229,8 @@ private:
         std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
         std::map<MsgRef, DataMsg> unstable;  // own + received, this epoch
 
-        // ordering engines (one active, per config.order)
-        SymmetricOrder symmetric;
-        SequencerOrder sequencer;
-        CausalOrder causal;
+        /// The ordering engine for config.order, rebuilt at every install.
+        OrderEngine engine;
 
         // stability
         std::map<EndpointId, std::map<EndpointId, Seqno>> stability_reports;
@@ -312,7 +310,6 @@ private:
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);
     void on_order_flush(GroupId id);
-    void release_ordered(Group& g, std::vector<DataMsg> ordered);
     void try_release(Group& g);
     void try_release_all();
     [[nodiscard]] bool barrier_satisfied(const DataMsg& msg) const;

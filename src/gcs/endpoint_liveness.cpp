@@ -29,17 +29,7 @@ bool GroupCommEndpoint::mechanisms_active(const Group& g) const {
         return true;
     }
     if (!g.unstable.empty() || !g.release_queue.empty()) return true;
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric:
-            if (g.symmetric.has_pending()) return true;
-            break;
-        case OrderMode::kTotalAsymmetric:
-            if (g.sequencer.has_pending()) return true;
-            break;
-        case OrderMode::kCausal:
-            if (g.causal.has_pending()) return true;
-            break;
-    }
+    if (has_pending(g.engine)) return true;
     for (const auto& [member, stream] : g.inbound) {
         if (!stream.out_of_order.empty()) return true;
     }
@@ -91,9 +81,10 @@ void GroupCommEndpoint::kick_liveness(Group& g) {
     // still lags the held-back head (once we have spoken past the head,
     // everyone already has what they need from us).  This caps protocol
     // chatter at roughly one null per member per ordering round.
-    const auto head = g.symmetric.head_ts();
-    if (g.progress_timer == 0 && g.config.order == OrderMode::kTotalSymmetric &&
-        head.has_value() && g.received_since_send && g.last_sent_ts < *head) {
+    const auto* symmetric = std::get_if<SymmetricOrder>(&g.engine);
+    const auto head = symmetric == nullptr ? std::nullopt : symmetric->head_ts();
+    if (g.progress_timer == 0 && head.has_value() && g.received_since_send &&
+        g.last_sent_ts < *head) {
         g.progress_timer = sched.schedule_at(std::max(sched.now(), base + g.config.ack_delay),
                                              [this, id] { on_progress_timer(id); });
     }
@@ -131,16 +122,17 @@ void GroupCommEndpoint::on_progress_timer(GroupId id) {
     Group* g = find_group(id);
     if (g == nullptr) return;
     g->progress_timer = 0;
-    if (!mechanisms_active(*g) || g->config.order != OrderMode::kTotalSymmetric) return;
-    if (!g->symmetric.has_pending()) return;
+    // Only a symmetric engine with a holdback has a head to advance.
+    const auto* symmetric = std::get_if<SymmetricOrder>(&g->engine);
+    const auto head = symmetric == nullptr ? std::nullopt : symmetric->head_ts();
+    if (!mechanisms_active(*g) || !head.has_value()) return;
     Scheduler& sched = orb_->scheduler();
     // Our timestamp is what other members' held-back messages wait for; a
     // null advances it without application traffic.  Self-clocking: only
     // null when something arrived since our last send and our timestamp
     // still lags the ordering head — otherwise a repeat null could not
     // unblock anyone.  (The time-silence heartbeat remains the fallback.)
-    const auto head = g->symmetric.head_ts();
-    if (head.has_value() && g->received_since_send && g->last_sent_ts < *head &&
+    if (g->received_since_send && g->last_sent_ts < *head &&
         sched.now() >= g->last_send_time + g->config.ack_delay) {
         send_null(*g);
     }
@@ -233,7 +225,8 @@ void GroupCommEndpoint::on_suspicion_scan(GroupId id) {
                                                    << member << " now=" << now << " last=" << last
                                                    << " active_since=" << g->active_since
                                                    << " unstable=" << g->unstable.size()
-                                                   << " holdback=" << g->release_queue.size());
+                                                   << " holdback=" << pending_count(g->engine)
+                                                   << " release=" << g->release_queue.size());
                 metrics().observe(obs::metric::kGcsDetectionLatencyUs, now - last);
                 note_suspect(*g, member, /*broadcast=*/true);
             }

@@ -257,8 +257,8 @@ void GroupCommEndpoint::begin_round(Group& g) {
     own.reserve(g.unstable.size());
     for (const auto& [ref, msg] : g.unstable) own.push_back(msg);
     std::vector<std::pair<std::uint64_t, MsgRef>> own_orders;
-    if (g.config.order == OrderMode::kTotalAsymmetric) {
-        const auto& log = g.sequencer.assignment_log();
+    if (const auto* sequencer = std::get_if<SequencerOrder>(&g.engine)) {
+        const auto& log = sequencer->assignment_log();
         own_orders.assign(log.begin(), log.end());
     }
     add_flush(g, id_, std::move(own), own_orders);
@@ -307,8 +307,8 @@ void GroupCommEndpoint::handle_propose(const ProposeMsg& msg) {
         flush.sender = id_;
         flush.unstable.reserve(g.unstable.size());
         for (const auto& [ref, data] : g.unstable) flush.unstable.push_back(data);
-        if (g.config.order == OrderMode::kTotalAsymmetric) {
-            const auto& log = g.sequencer.assignment_log();
+        if (const auto* sequencer = std::get_if<SequencerOrder>(&g.engine)) {
+            const auto& log = sequencer->assignment_log();
             flush.orders.assign(log.begin(), log.end());
         }
         metrics().add(obs::metric::kGcsFlushesSent);
@@ -387,11 +387,7 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
             pending.try_emplace(ref, std::move(data));
         }
     };
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: absorb(g.symmetric.drain_pending()); break;
-        case OrderMode::kTotalAsymmetric: absorb(g.sequencer.drain_pending()); break;
-        case OrderMode::kCausal: absorb(g.causal.drain_pending()); break;
-    }
+    absorb(drain_pending(g.engine));
     absorb({std::make_move_iterator(g.release_queue.begin()),
             std::make_move_iterator(g.release_queue.end())});
     g.release_queue.clear();
@@ -448,9 +444,9 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
 
     // The configuration switch point.  deliver_cut has already drained
     // every pre-cut message under the old config (old OrderMode, old
-    // policies); from here on the group runs the new one.  The engine
-    // resets below start the new mode from clean state, which is exactly
-    // what a kTotalSymmetric <-> kTotalAsymmetric switch needs: sequencer
+    // policies); from here on the group runs the new one.  The engine built
+    // below for the new mode starts from clean state, which is exactly what
+    // a kTotalSymmetric <-> kTotalAsymmetric switch needs: sequencer
     // assignments never straddle the cut.
     if (msg.config_epoch != g.config_epoch) {
         g.config = msg.config;
@@ -490,9 +486,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.vc_orders.clear();
     g.vc_members.clear();
     g.vc_expected_flush.clear();
-    g.symmetric.reset(g.view.members);
-    g.sequencer.reset(g.view.members, id_);
-    g.causal.reset(g.view.members);
+    g.engine = make_order_engine(g.config.order, g.view.members, id_);
 
     // Members this view removed *because we suspected them* are reported
     // dead to the directory, so rebinding clients stop selecting them as

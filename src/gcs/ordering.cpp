@@ -8,9 +8,7 @@ namespace newtop {
 
 // -- SymmetricOrder -----------------------------------------------------------
 
-void SymmetricOrder::reset(std::vector<EndpointId> members) {
-    holdback_.clear();
-    latest_ts_.clear();
+SymmetricOrder::SymmetricOrder(const std::vector<EndpointId>& members) {
     for (EndpointId m : members) latest_ts_[m] = 0;
 }
 
@@ -62,18 +60,11 @@ std::vector<DataMsg> SymmetricOrder::drain_pending() {
 
 // -- SequencerOrder -----------------------------------------------------------
 
-void SequencerOrder::reset(std::vector<EndpointId> members, EndpointId self) {
+SequencerOrder::SequencerOrder(const std::vector<EndpointId>& members, EndpointId self)
+    : self_(self) {
     NEWTOP_EXPECTS(!members.empty(), "sequencer order needs at least one member");
     NEWTOP_EXPECTS(std::is_sorted(members.begin(), members.end()), "members must be sorted");
-    self_ = self;
     sequencer_ = members.front();
-    next_assign_ = 0;
-    next_deliver_ = 0;
-    fresh_assignments_.clear();
-    assignment_.clear();
-    log_.clear();
-    data_store_.clear();
-    seen_refs_.clear();
 }
 
 void SequencerOrder::on_data(const DataMsg& msg) {
@@ -155,10 +146,8 @@ std::vector<DataMsg> SequencerOrder::drain_pending() {
 
 // -- CausalOrder --------------------------------------------------------------
 
-void CausalOrder::reset(std::vector<EndpointId> members) {
-    delivered_count_.clear();
+CausalOrder::CausalOrder(const std::vector<EndpointId>& members) {
     for (EndpointId m : members) delivered_count_[m] = 0;
-    pending_.clear();
 }
 
 void CausalOrder::on_data(const DataMsg& msg) {
@@ -171,7 +160,7 @@ bool CausalOrder::satisfied(const DataMsg& msg) const {
     for (const auto& [member, needed] : msg.causal_vc) {
         const auto it = delivered_count_.find(member);
         // Dependencies on departed members were resolved by the view-change
-        // flush before this engine was reset; ignore them.
+        // flush before this engine was built; ignore them.
         if (it == delivered_count_.end()) continue;
         if (it->second < needed) return false;
     }
@@ -209,6 +198,18 @@ std::vector<std::pair<EndpointId, Seqno>> CausalOrder::delivered_vector() const 
     out.reserve(delivered_count_.size());
     for (const auto& [member, count] : delivered_count_) out.emplace_back(member, count);
     return out;
+}
+
+// -- factory ------------------------------------------------------------------
+
+OrderEngine make_order_engine(OrderMode mode, const std::vector<EndpointId>& members,
+                              EndpointId self) {
+    switch (mode) {
+        case OrderMode::kTotalSymmetric: return SymmetricOrder(members);
+        case OrderMode::kTotalAsymmetric: return SequencerOrder(members, self);
+        case OrderMode::kCausal: break;
+    }
+    return CausalOrder(members);
 }
 
 }  // namespace newtop

@@ -1,6 +1,7 @@
 // Message-ordering engines.
 //
-// Each group runs one engine chosen at creation time (§3 of the paper):
+// Each group holds one engine (§3 of the paper), rebuilt by make_order_engine()
+// from the installed config at every view install:
 //
 //  * SymmetricOrder — causality-preserving total order by (Lamport ts,
 //    sender id).  A message is deliverable once every other member has been
@@ -19,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <variant>
 #include <vector>
 
 #include "gcs/messages.hpp"
@@ -31,8 +33,9 @@ namespace newtop {
 /// no member can still produce an earlier-ordered message.
 class SymmetricOrder {
 public:
-    /// Install membership (resets all ordering state).
-    void reset(std::vector<EndpointId> members);
+    /// Fresh ordering state for one view's membership.  The memberless
+    /// default is the placeholder a group holds before its first install.
+    explicit SymmetricOrder(const std::vector<EndpointId>& members = {});
 
     /// Feed one FIFO-contiguous message (application or null) from a
     /// current member.  Nulls advance the order but are not delivered.
@@ -76,8 +79,9 @@ private:
 /// — the property the restricted-group optimisation (§4.2) exploits.
 class SequencerOrder {
 public:
-    /// Install membership; `self` determines the sequencer role.
-    void reset(std::vector<EndpointId> members, EndpointId self);
+    /// Fresh ordering state for one view's membership (non-empty, sorted);
+    /// `self` determines the sequencer role.
+    SequencerOrder(const std::vector<EndpointId>& members, EndpointId self);
 
     [[nodiscard]] bool is_sequencer() const { return self_ == sequencer_; }
     [[nodiscard]] EndpointId sequencer() const { return sequencer_; }
@@ -148,7 +152,8 @@ private:
 /// once the local count matches.
 class CausalOrder {
 public:
-    void reset(std::vector<EndpointId> members);
+    /// Fresh ordering state for one view's membership.
+    explicit CausalOrder(const std::vector<EndpointId>& members);
 
     void on_data(const DataMsg& msg);
 
@@ -171,5 +176,31 @@ private:
     std::map<EndpointId, Seqno> delivered_count_;
     std::vector<DataMsg> pending_;
 };
+
+/// A group's one ordering engine; only make_order_engine() picks the
+/// alternative.  Mode-specific calls go through std::get_if, the operations
+/// every engine has through the helpers below.
+using OrderEngine = std::variant<SymmetricOrder, SequencerOrder, CausalOrder>;
+
+/// The engine `mode` selects, with fresh state for a view of `members`.
+[[nodiscard]] OrderEngine make_order_engine(OrderMode mode, const std::vector<EndpointId>& members,
+                                            EndpointId self);
+
+inline void on_data(OrderEngine& engine, const DataMsg& msg) {
+    std::visit([&](auto& e) { e.on_data(msg); }, engine);
+}
+inline std::vector<DataMsg> take_deliverable(OrderEngine& engine) {
+    return std::visit([](auto& e) { return e.take_deliverable(); }, engine);
+}
+[[nodiscard]] inline bool has_pending(const OrderEngine& engine) {
+    return std::visit([](const auto& e) { return e.has_pending(); }, engine);
+}
+/// The group's holdback: application messages the engine still withholds.
+[[nodiscard]] inline std::size_t pending_count(const OrderEngine& engine) {
+    return std::visit([](const auto& e) { return e.pending_count(); }, engine);
+}
+inline std::vector<DataMsg> drain_pending(OrderEngine& engine) {
+    return std::visit([](auto& e) { return e.drain_pending(); }, engine);
+}
 
 }  // namespace newtop

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
 #include "trace_oracle.hpp"
@@ -17,7 +18,7 @@ namespace {
 
 using namespace sim_literals;
 
-Bytes payload_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
+using test::payload_of;
 std::string to_string(const Bytes& b) { return std::string(b.begin(), b.end()); }
 
 /// A small simulated world of endpoints for GCS integration tests.
@@ -209,8 +210,7 @@ TEST_P(OrderedGroup, ConcurrentMulticastsDeliverInIdenticalOrder) {
     make_group(4);
     for (std::size_t round = 0; round < 5; ++round) {
         for (auto i : indices) {
-            world.ep(i).multicast(group,
-                                  payload_of("m" + std::to_string(i) + "." + std::to_string(round)));
+            world.ep(i).multicast(group, payload_of(test::label("m", i, ".", round)));
         }
     }
     world.run_for(2_s);
@@ -224,12 +224,12 @@ TEST_P(OrderedGroup, ConcurrentMulticastsDeliverInIdenticalOrder) {
 TEST_P(OrderedGroup, SenderFifoPreserved) {
     make_group(3);
     for (int k = 0; k < 10; ++k) {
-        world.ep(indices[1]).multicast(group, payload_of("s" + std::to_string(k)));
+        world.ep(indices[1]).multicast(group, payload_of(test::label("s", k)));
     }
     world.run_for(1_s);
     const auto log = world.log_of(indices[2], group);
     ASSERT_EQ(log.size(), 10u);
-    for (int k = 0; k < 10; ++k) EXPECT_EQ(log[static_cast<std::size_t>(k)], "s" + std::to_string(k));
+    for (int k = 0; k < 10; ++k) EXPECT_EQ(log[static_cast<std::size_t>(k)], test::label("s", k));
 }
 
 TEST_P(OrderedGroup, SurvivesMessageLoss) {
@@ -509,7 +509,7 @@ TEST_F(LanGcs, BurstCoalescesUnderSendWindow) {
     world.run_for(100_ms);
     std::vector<std::string> expected;
     for (int k = 0; k < 40; ++k) {
-        expected.push_back("m" + std::to_string(k));
+        expected.push_back(test::label("m", k));
         world.ep(b).multicast(g, payload_of(expected.back()));
     }
     world.run_for(3_s);
@@ -533,7 +533,7 @@ TEST_F(LanGcs, ZeroWindowDisablesCoalescing) {
     world.run_for(100_ms);
     std::vector<std::string> expected;
     for (int k = 0; k < 10; ++k) {
-        expected.push_back("m" + std::to_string(k));
+        expected.push_back(test::label("m", k));
         world.ep(b).multicast(g, payload_of(expected.back()));
     }
     world.run_for(2_s);
@@ -554,7 +554,7 @@ TEST_F(LanGcs, ViewChangeMidBatchKeepsUnflushedTail) {
     world.run_for(100_ms);
     std::vector<std::string> expected;
     for (int k = 0; k < 25; ++k) {
-        expected.push_back("m" + std::to_string(k));
+        expected.push_back(test::label("m", k));
         world.ep(b).multicast(g, payload_of(expected.back()));
     }
     // Join lands while the tail of the burst is still queued at b.
@@ -581,7 +581,7 @@ TEST_F(LanGcs, SymmetricModeAlsoCoalesces) {
     world.run_for(100_ms);
     std::vector<std::string> expected;
     for (int k = 0; k < 30; ++k) {
-        expected.push_back("s" + std::to_string(k));
+        expected.push_back(test::label("s", k));
         world.ep(a).multicast(g, payload_of(expected.back()));
     }
     world.run_for(3_s);

@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
-#include "trace_oracle.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -17,63 +17,16 @@ namespace {
 
 using namespace sim_literals;
 
-Bytes payload_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
-
-struct MemberWorld {
-    explicit MemberWorld(Topology t, std::uint64_t seed = 5)
-        : net(scheduler, std::move(t), seed) {}
-
-    std::size_t add_endpoint(SiteId site = SiteId(0)) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        auto ep = std::make_unique<GroupCommEndpoint>(*orbs.back(), directory);
-        const std::size_t index = endpoints.size();
-        delivered.emplace_back();
-        ep->set_deliver_handler([this, index](const GroupCommEndpoint::Delivery& d) {
-            delivered[index].push_back(std::string(d.payload.begin(), d.payload.end()));
-        });
-        endpoints.push_back(std::move(ep));
-        return index;
-    }
-
-    GroupCommEndpoint& ep(std::size_t i) { return *endpoints[i]; }
-    NodeId node_of(std::size_t i) { return orbs[i]->node_id(); }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    Scheduler scheduler;
-    Network net;
-    test::OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
-    std::vector<std::vector<std::string>> delivered;
-};
-
-GroupConfig lively(OrderMode order) {
-    GroupConfig cfg;
-    cfg.order = order;
-    cfg.liveness = LivenessMode::kLively;
-    return cfg;
-}
+using test::EndpointWorld;
+using test::lively;
+using test::payload_of;
 
 struct MembershipFixture : ::testing::TestWithParam<OrderMode> {
-    MembershipFixture() : world(calibration::make_lan_topology()) {}
+    MembershipFixture() : world(calibration::make_lan_topology(), 5) {}
 
-    GroupId make_group(std::size_t n) {
-        GroupId g;
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto idx = world.add_endpoint();
-            if (i == 0) {
-                g = world.ep(idx).create_group("g", lively(GetParam()));
-            } else {
-                world.ep(idx).join_group("g");
-            }
-            world.run_for(300_ms);
-        }
-        return g;
-    }
+    GroupId make_group(std::size_t n) { return world.make_group(n, lively(GetParam())); }
 
-    MemberWorld world;
+    EndpointWorld world;
 };
 
 TEST_P(MembershipFixture, CoordinatorCrashDuringViewChangeIsRecovered) {
@@ -133,7 +86,7 @@ TEST_P(MembershipFixture, TrafficDuringJoinIsNotLost) {
     world.ep(joiner).join_group("g");
     // Blast messages while the join round runs.
     for (int k = 0; k < 10; ++k) {
-        world.ep(0).multicast(g, payload_of("m" + std::to_string(k)));
+        world.ep(0).multicast(g, payload_of(test::label("m", k)));
     }
     world.run_for(5_s);
     ASSERT_TRUE(world.ep(joiner).is_member(g));
@@ -192,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, MembershipFixture,
 
 TEST(MembershipPartition, PartitionDuringTrafficPreservesPrefixAgreement) {
     auto sites = calibration::make_paper_topology();
-    MemberWorld world(std::move(sites.topology), 9);
+    EndpointWorld world(std::move(sites.topology), 9);
     const auto a0 = world.add_endpoint(sites.newcastle);
     const auto a1 = world.add_endpoint(sites.newcastle);
     const auto b0 = world.add_endpoint(sites.london);
@@ -225,7 +178,7 @@ TEST(MembershipPartition, PartitionDuringTrafficPreservesPrefixAgreement) {
 
 TEST(MembershipPartition, MinoritySideKeepsItsOwnOrder) {
     auto sites = calibration::make_paper_topology();
-    MemberWorld world(std::move(sites.topology), 11);
+    EndpointWorld world(std::move(sites.topology), 11);
     const auto a0 = world.add_endpoint(sites.newcastle);
     const auto b0 = world.add_endpoint(sites.london);
     const auto b1 = world.add_endpoint(sites.london);

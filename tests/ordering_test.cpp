@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "gcs/ordering.hpp"
@@ -34,8 +35,7 @@ const EndpointId kA{1}, kB{2}, kC{3};
 // -- SymmetricOrder ------------------------------------------------------------
 
 TEST(SymmetricOrder, HoldsUntilAllMembersHeardFrom) {
-    SymmetricOrder order;
-    order.reset({kA, kB, kC});
+    SymmetricOrder order({kA, kB, kC});
     order.on_data(data(kA, 0, 5));
     EXPECT_TRUE(order.take_deliverable().empty());  // B and C silent
     order.on_data(data(kB, 0, 7));
@@ -49,8 +49,7 @@ TEST(SymmetricOrder, HoldsUntilAllMembersHeardFrom) {
 }
 
 TEST(SymmetricOrder, DeliversInTimestampOrderRegardlessOfArrival) {
-    SymmetricOrder order;
-    order.reset({kA, kB, kC});
+    SymmetricOrder order({kA, kB, kC});
     order.on_data(data(kB, 0, 9));
     order.on_data(data(kA, 0, 3));
     order.on_data(data(kC, 0, 12));
@@ -61,8 +60,7 @@ TEST(SymmetricOrder, DeliversInTimestampOrderRegardlessOfArrival) {
 }
 
 TEST(SymmetricOrder, TimestampTieBrokenBySenderId) {
-    SymmetricOrder order;
-    order.reset({kA, kB});
+    SymmetricOrder order({kA, kB});
     order.on_data(data(kB, 0, 5));
     order.on_data(data(kA, 0, 5));
     const auto batch = order.take_deliverable();
@@ -70,8 +68,7 @@ TEST(SymmetricOrder, TimestampTieBrokenBySenderId) {
 }
 
 TEST(SymmetricOrder, NullsAdvanceOrderButAreNotDelivered) {
-    SymmetricOrder order;
-    order.reset({kA, kB});
+    SymmetricOrder order({kA, kB});
     order.on_data(data(kA, 0, 1));
     order.on_data(data(kB, 0, 2, DataKind::kNull));
     const auto batch = order.take_deliverable();
@@ -81,21 +78,18 @@ TEST(SymmetricOrder, NullsAdvanceOrderButAreNotDelivered) {
 }
 
 TEST(SymmetricOrder, SingleMemberDeliversImmediately) {
-    SymmetricOrder order;
-    order.reset({kA});
+    SymmetricOrder order({kA});
     order.on_data(data(kA, 0, 1));
     EXPECT_EQ(order.take_deliverable().size(), 1u);
 }
 
 TEST(SymmetricOrder, RejectsNonMember) {
-    SymmetricOrder order;
-    order.reset({kA, kB});
+    SymmetricOrder order({kA, kB});
     EXPECT_THROW(order.on_data(data(kC, 0, 1)), PreconditionError);
 }
 
 TEST(SymmetricOrder, DrainPendingEmptiesHoldback) {
-    SymmetricOrder order;
-    order.reset({kA, kB});
+    SymmetricOrder order({kA, kB});
     order.on_data(data(kA, 0, 5));
     const auto drained = order.drain_pending();
     ASSERT_EQ(drained.size(), 1u);
@@ -122,8 +116,7 @@ TEST(SymmetricOrder, AgreementProperty) {
             // Shuffle preserving per-sender FIFO order (the engine contract).
             std::vector<std::vector<DataMsg>> by_sender(4);
             for (const auto& m : msgs) by_sender[m.sender.value()].push_back(m);
-            SymmetricOrder order;
-            order.reset({kA, kB, kC});
+            SymmetricOrder order({kA, kB, kC});
             Rng pick(seed);
             std::vector<std::size_t> cursor(4, 0);
             std::vector<std::pair<Lamport, EndpointId>> delivered;
@@ -152,17 +145,15 @@ TEST(SymmetricOrder, AgreementProperty) {
 // -- SequencerOrder ------------------------------------------------------------
 
 TEST(SequencerOrder, LowestMemberIsSequencer) {
-    SequencerOrder order;
-    order.reset({kA, kB, kC}, kB);
+    SequencerOrder order({kA, kB, kC}, kB);
     EXPECT_EQ(order.sequencer(), kA);
     EXPECT_FALSE(order.is_sequencer());
-    order.reset({kA, kB, kC}, kA);
+    order = SequencerOrder({kA, kB, kC}, kA);
     EXPECT_TRUE(order.is_sequencer());
 }
 
 TEST(SequencerOrder, SequencerAssignsAndDeliversImmediately) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     const auto to_send = order.take_order_to_send();
     ASSERT_TRUE(to_send.has_value());
@@ -173,8 +164,7 @@ TEST(SequencerOrder, SequencerAssignsAndDeliversImmediately) {
 }
 
 TEST(SequencerOrder, NonSequencerWaitsForOrderRecord) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kB);
+    SequencerOrder order({kA, kB}, kB);
     order.on_data(data(kB, 0, 1));
     EXPECT_TRUE(order.take_deliverable().empty());
     EXPECT_FALSE(order.take_order_to_send().has_value());
@@ -186,8 +176,7 @@ TEST(SequencerOrder, NonSequencerWaitsForOrderRecord) {
 }
 
 TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
-    SequencerOrder order;
-    order.reset({kA, kB, kC}, kC);
+    SequencerOrder order({kA, kB, kC}, kC);
     order.on_data(data(kC, 0, 10));  // arrives first locally
     order.on_data(data(kB, 0, 5));
     OrderMsg om;
@@ -201,8 +190,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
 }
 
 TEST(SequencerOrder, OrderRecordBeforeDataHolds) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kB);
+    SequencerOrder order({kA, kB}, kB);
     OrderMsg om;
     om.first_order = 0;
     om.refs = {MsgRef{kA, 0}};
@@ -213,8 +201,7 @@ TEST(SequencerOrder, OrderRecordBeforeDataHolds) {
 }
 
 TEST(SequencerOrder, NullsBypassOrdering) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1, DataKind::kNull));
     EXPECT_FALSE(order.take_order_to_send().has_value());
     EXPECT_TRUE(order.take_deliverable().empty());
@@ -227,8 +214,7 @@ TEST(SequencerOrder, RetransmittedDataDoesNotGetASecondOrderSlot) {
     // the sequencer.  take_deliverable() erases the data at the first slot,
     // so the duplicate slot could never be satisfied and delivery stalled
     // permanently for the whole group.
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);  // self = kA = sequencer
+    SequencerOrder order({kA, kB}, kA);  // self = kA = sequencer
     order.on_data(data(kB, 0, 1));
     order.on_data(data(kB, 0, 1));  // retransmission of the same message
     const auto first = order.take_order_to_send();
@@ -244,8 +230,7 @@ TEST(SequencerOrder, RetransmittedDataDoesNotGetASecondOrderSlot) {
 }
 
 TEST(SequencerOrder, DuplicateOfDeliveredDataIsIgnored) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.take_order_to_send();
     EXPECT_EQ(order.take_deliverable().size(), 1u);
@@ -257,8 +242,7 @@ TEST(SequencerOrder, DuplicateOfDeliveredDataIsIgnored) {
 }
 
 TEST(SequencerOrder, AssignmentLogKeepsDeliveredEntries) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.take_order_to_send();
     EXPECT_EQ(order.take_deliverable().size(), 1u);
@@ -273,8 +257,7 @@ TEST(SequencerOrder, AssignmentLogKeepsDeliveredEntries) {
 // assigned orders mid-view-change (when order records are never sent),
 // flushed them, and delivered a cut contradicting the other fragment's.
 TEST(SequencerOrder, UnsentAssignmentsNeitherDeliverNorReachTheLog) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     EXPECT_TRUE(order.take_deliverable().empty());
     EXPECT_TRUE(order.assignment_log().empty());
@@ -284,8 +267,7 @@ TEST(SequencerOrder, UnsentAssignmentsNeitherDeliverNorReachTheLog) {
 }
 
 TEST(SequencerOrder, BatchedOrderRecord) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.on_data(data(kB, 1, 2));
     const auto to_send = order.take_order_to_send();
@@ -295,8 +277,7 @@ TEST(SequencerOrder, BatchedOrderRecord) {
 }
 
 TEST(SequencerOrder, PartialDrainRespectsMaxRefs) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
+    SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.on_data(data(kB, 1, 2));
     order.on_data(data(kB, 2, 3));
@@ -317,8 +298,7 @@ TEST(SequencerOrder, PartialDrainRespectsMaxRefs) {
 // undercounting when the two sets are disjoint (data held without an order
 // record *and* order records held without their data are both pending).
 TEST(SequencerOrder, PendingCountCoversDisjointSets) {
-    SequencerOrder order;
-    order.reset({kA, kB, kC}, kB);  // kA is the sequencer; we are kB
+    SequencerOrder order({kA, kB, kC}, kB);  // kA is the sequencer; we are kB
     // Data with no assignment yet.
     order.on_data(data(kC, 0, 1));
     EXPECT_EQ(order.pending_count(), 1u);
@@ -345,8 +325,7 @@ DataMsg causal_data(EndpointId sender, Seqno seq,
 }
 
 TEST(CausalOrder, IndependentMessagesDeliverOnArrival) {
-    CausalOrder order;
-    order.reset({kA, kB});
+    CausalOrder order({kA, kB});
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}}));
     EXPECT_EQ(order.take_deliverable().size(), 1u);
     order.on_data(causal_data(kB, 0, {{kA, 0}, {kB, 0}}));
@@ -354,8 +333,7 @@ TEST(CausalOrder, IndependentMessagesDeliverOnArrival) {
 }
 
 TEST(CausalOrder, DependentMessageWaitsForItsCause) {
-    CausalOrder order;
-    order.reset({kA, kB, kC});
+    CausalOrder order({kA, kB, kC});
     // B's message depends on having delivered one message from A.
     order.on_data(causal_data(kB, 0, {{kA, 1}, {kB, 0}, {kC, 0}}));
     EXPECT_TRUE(order.take_deliverable().empty());
@@ -367,8 +345,7 @@ TEST(CausalOrder, DependentMessageWaitsForItsCause) {
 }
 
 TEST(CausalOrder, ChainUnblocksTransitively) {
-    CausalOrder order;
-    order.reset({kA, kB, kC});
+    CausalOrder order({kA, kB, kC});
     order.on_data(causal_data(kC, 0, {{kA, 1}, {kB, 1}, {kC, 0}}));
     order.on_data(causal_data(kB, 0, {{kA, 1}, {kB, 0}, {kC, 0}}));
     EXPECT_TRUE(order.take_deliverable().empty());
@@ -377,8 +354,7 @@ TEST(CausalOrder, ChainUnblocksTransitively) {
 }
 
 TEST(CausalOrder, DeliveredVectorTracksCounts) {
-    CausalOrder order;
-    order.reset({kA, kB});
+    CausalOrder order({kA, kB});
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}}));
     order.take_deliverable();
     const auto vc = order.delivered_vector();
@@ -388,11 +364,45 @@ TEST(CausalOrder, DeliveredVectorTracksCounts) {
 }
 
 TEST(CausalOrder, DependencyOnDepartedMemberIgnored) {
-    CausalOrder order;
-    order.reset({kA, kB});  // kC not a member
+    CausalOrder order({kA, kB});  // kC not a member
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kC, 5}}));
     EXPECT_EQ(order.take_deliverable().size(), 1u);
 }
+
+// -- make_order_engine ---------------------------------------------------------
+
+OrderMode mode_of(const OrderEngine& engine) {
+    if (std::holds_alternative<SymmetricOrder>(engine)) return OrderMode::kTotalSymmetric;
+    if (std::holds_alternative<SequencerOrder>(engine)) return OrderMode::kTotalAsymmetric;
+    return OrderMode::kCausal;
+}
+
+struct OrderEngineFactory : ::testing::TestWithParam<OrderMode> {};
+
+TEST_P(OrderEngineFactory, BuildsTheEngineForTheMode) {
+    EXPECT_EQ(mode_of(make_order_engine(GetParam(), {kA, kB}, kB)), GetParam());
+}
+
+// One message every engine withholds at kB: the symmetric engine has not
+// heard from kB, kB is not the sequencer and has no order record, and the
+// causal dependency on kB's first message is unmet.
+TEST_P(OrderEngineFactory, HeldBackMessageIsCountedAndDrained) {
+    OrderEngine engine = make_order_engine(GetParam(), {kA, kB}, kB);
+    on_data(engine, causal_data(kA, 0, {{kA, 0}, {kB, 1}}));
+    EXPECT_TRUE(take_deliverable(engine).empty());
+    EXPECT_TRUE(has_pending(engine));
+    EXPECT_EQ(pending_count(engine), 1u);
+
+    const auto drained = drain_pending(engine);
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].sender, kA);
+    EXPECT_FALSE(has_pending(engine));
+    EXPECT_EQ(pending_count(engine), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, OrderEngineFactory,
+                         ::testing::Values(OrderMode::kTotalSymmetric,
+                                           OrderMode::kTotalAsymmetric, OrderMode::kCausal));
 
 }  // namespace
 }  // namespace newtop

@@ -20,6 +20,7 @@
 #include <tuple>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "gcs/endpoint.hpp"
 #include "gcs/messages.hpp"
 #include "net/calibration.hpp"
@@ -32,31 +33,7 @@ namespace {
 
 using namespace sim_literals;
 
-struct PropWorld {
-    PropWorld(Topology t, std::uint64_t seed) : net(scheduler, std::move(t), seed) {}
-
-    std::size_t add_endpoint(SiteId site) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        auto ep = std::make_unique<GroupCommEndpoint>(*orbs.back(), directory);
-        const std::size_t index = endpoints.size();
-        delivered.emplace_back();
-        ep->set_deliver_handler([this, index](const GroupCommEndpoint::Delivery& d) {
-            delivered[index].push_back(std::string(d.payload.begin(), d.payload.end()));
-        });
-        endpoints.push_back(std::move(ep));
-        return index;
-    }
-
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
-    std::vector<std::vector<std::string>> delivered;
-};
+using PropWorld = test::EndpointWorld;
 
 enum class Net : std::uint8_t { kLan, kLossyLan, kWan };
 
@@ -298,6 +275,7 @@ TEST(CausalLegalityProperty, DeliveriesNeverPrecedeTheirCauses) {
             }
             world.run_for(500_ms);
         }
+        world.oracle.options().causal_groups.insert(g.value());
 
         int responses = 0;
         for (int i = 0; i < 3; ++i) {

@@ -13,6 +13,7 @@
 
 #include "fuzz/runner.hpp"
 #include "fuzz/scenario.hpp"
+#include "endpoint_world.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
 #include "obs/names.hpp"
@@ -24,58 +25,12 @@ namespace {
 
 using namespace sim_literals;
 
-Bytes payload_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
+using test::lively;
+using test::payload_of;
 
-struct ReconfigWorld {
-    explicit ReconfigWorld(std::uint64_t seed = 11)
-        : net(scheduler, calibration::make_lan_topology(), seed) {}
-
-    std::size_t add_endpoint(SiteId site = SiteId(0)) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        auto ep = std::make_unique<GroupCommEndpoint>(*orbs.back(), directory);
-        const std::size_t index = endpoints.size();
-        delivered.emplace_back();
-        ep->set_deliver_handler([this, index](const GroupCommEndpoint::Delivery& d) {
-            delivered[index].push_back(std::string(d.payload.begin(), d.payload.end()));
-        });
-        endpoints.push_back(std::move(ep));
-        return index;
-    }
-
-    GroupCommEndpoint& ep(std::size_t i) { return *endpoints[i]; }
-    NodeId node_of(std::size_t i) { return orbs[i]->node_id(); }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    Scheduler scheduler;
-    Network net;
-    test::OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
-    std::vector<std::vector<std::string>> delivered;
+struct ReconfigWorld : test::EndpointWorld {
+    ReconfigWorld() : EndpointWorld(calibration::make_lan_topology(), 11) {}
 };
-
-GroupConfig lively(OrderMode order) {
-    GroupConfig cfg;
-    cfg.order = order;
-    cfg.liveness = LivenessMode::kLively;
-    return cfg;
-}
-
-GroupId make_group(ReconfigWorld& world, std::size_t n, const GroupConfig& config) {
-    GroupId g;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto idx = world.add_endpoint();
-        if (i == 0) {
-            g = world.ep(idx).create_group("g", config);
-        } else {
-            world.ep(idx).join_group("g");
-        }
-        world.run_for(300_ms);
-    }
-    return g;
-}
 
 std::size_t count_switched(const test::OracleScope& oracle) {
     std::size_t n = 0;
@@ -99,15 +54,14 @@ struct SwitchUnderLoad : ::testing::TestWithParam<SwitchCase> {};
 // change ran) flows under the new engine.
 TEST_P(SwitchUnderLoad, LosesNoMessagesAndKeepsTotalOrder) {
     ReconfigWorld world;
-    const GroupId g = make_group(world, 3, lively(GetParam().from));
+    const GroupId g = world.make_group(3, lively(GetParam().from));
 
     constexpr int kPerMember = 12;
     for (int k = 0; k < kPerMember; ++k) {
         const SimDuration at = static_cast<SimDuration>(k) * 120'000;
         for (std::size_t i = 0; i < 3; ++i) {
             world.scheduler.schedule_after(at, [&world, i, k, g] {
-                world.ep(i).multicast(g, payload_of("m" + std::to_string(i) + "." +
-                                                    std::to_string(k)));
+                world.ep(i).multicast(g, payload_of(test::label("m", i, ".", k)));
             });
         }
     }
@@ -136,12 +90,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SwitchCase{OrderMode::kTotalSymmetric, OrderMode::kTotalAsymmetric},
                       SwitchCase{OrderMode::kTotalAsymmetric, OrderMode::kTotalSymmetric}));
 
+// group_stats().holdback reads the engine the switch installed: a multicast
+// from the non-sequencer member is held back by the symmetric and sequencer
+// engines (no peer timestamp, no order record yet) but delivered at once by
+// the causal one.
+struct HoldbackAfterSwitch : ::testing::TestWithParam<SwitchCase> {};
+
+TEST_P(HoldbackAfterSwitch, GroupStatsReadTheNewEngine) {
+    ReconfigWorld world;
+    const GroupId g = world.make_group(2, lively(GetParam().from));
+    GroupConfig next = *world.ep(0).group_config(g);
+    next.order = GetParam().to;
+    world.ep(0).reconfigure(g, next);
+    world.run_for(5_s);
+    ASSERT_EQ(world.ep(1).config_epoch(g), 1u);
+
+    world.ep(1).multicast(g, payload_of("held"));
+    EXPECT_EQ(world.ep(1).group_stats(g).holdback, GetParam().to == OrderMode::kCausal ? 0u : 1u);
+    world.run_for(2_s);
+    EXPECT_EQ(world.ep(1).group_stats(g).holdback, 0u);
+    EXPECT_EQ(world.delivered[1], std::vector<std::string>{"held"});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IntoEachMode, HoldbackAfterSwitch,
+    ::testing::Values(SwitchCase{OrderMode::kCausal, OrderMode::kTotalSymmetric},
+                      SwitchCase{OrderMode::kTotalSymmetric, OrderMode::kTotalAsymmetric},
+                      SwitchCase{OrderMode::kTotalAsymmetric, OrderMode::kCausal}));
+
 // Round trip sym -> asym -> sym with traffic in every regime: the
 // sequencer must be torn down and rebuilt cleanly both ways, and config
 // epochs advance monotonically through 2.
 TEST(Reconfigure, SequencerSurvivesRoundTripToggle) {
     ReconfigWorld world;
-    const GroupId g = make_group(world, 3, lively(OrderMode::kTotalSymmetric));
+    const GroupId g = world.make_group(3, lively(OrderMode::kTotalSymmetric));
 
     auto burst = [&](const std::string& tag) {
         for (std::size_t i = 0; i < 3; ++i) {
@@ -176,14 +158,13 @@ TEST(Reconfigure, SequencerSurvivesRoundTripToggle) {
 // configuration with no torn deliveries (the OracleScope checks that).
 TEST(Reconfigure, SwitchRacingMemberCrashConverges) {
     ReconfigWorld world;
-    const GroupId g = make_group(world, 4, lively(OrderMode::kTotalSymmetric));
+    const GroupId g = world.make_group(4, lively(OrderMode::kTotalSymmetric));
     for (int k = 0; k < 6; ++k) {
         for (std::size_t i = 0; i < 4; ++i) {
             world.scheduler.schedule_after(static_cast<SimDuration>(k) * 200'000,
                                            [&world, i, k, g] {
                                                world.ep(i).multicast(
-                                                   g, payload_of("x" + std::to_string(i) +
-                                                                 std::to_string(k)));
+                                                   g, payload_of(test::label("x", i, k)));
                                            });
         }
     }
@@ -211,7 +192,7 @@ TEST(Reconfigure, SwitchRacingMemberCrashConverges) {
 // everywhere).
 TEST(Reconfigure, ConcurrentProposalsConvergeLastWins) {
     ReconfigWorld world;
-    const GroupId g = make_group(world, 3, lively(OrderMode::kTotalSymmetric));
+    const GroupId g = world.make_group(3, lively(OrderMode::kTotalSymmetric));
     world.scheduler.schedule_after(100_ms, [&world, g] {
         GroupConfig next = *world.ep(1).group_config(g);
         next.order = OrderMode::kTotalAsymmetric;
@@ -243,7 +224,7 @@ TEST(Reconfigure, ConcurrentProposalsConvergeLastWins) {
 // config travels in the install, and the directory copy is refreshed.
 TEST(Reconfigure, LateJoinerInheritsCurrentConfig) {
     ReconfigWorld world;
-    const GroupId g = make_group(world, 2, lively(OrderMode::kTotalSymmetric));
+    const GroupId g = world.make_group(2, lively(OrderMode::kTotalSymmetric));
     GroupConfig next = *world.ep(0).group_config(g);
     next.order = OrderMode::kTotalAsymmetric;
     world.ep(0).reconfigure(g, next);
@@ -278,7 +259,7 @@ TEST(Reconfigure, AdaptiveThresholdTogglesProtocolWithGroupSize) {
     ReconfigWorld world;
     GroupConfig config = lively(OrderMode::kTotalSymmetric);
     config.adaptive_asym_threshold = 3;
-    const GroupId g = make_group(world, 2, config);
+    const GroupId g = world.make_group(2, config);
     world.run_for(2_s);
     // Two members: below threshold, still symmetric.
     EXPECT_EQ(world.ep(0).group_config(g)->order, OrderMode::kTotalSymmetric);
