@@ -83,35 +83,26 @@ struct GrayResult {
 };
 
 GrayResult run_gray(double factor, bool accrual, std::uint64_t seed) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), seed);
-    Directory directory;
+    World world(calibration::make_lan_topology(), seed);
+    Network& net = world.net;
     obs::VectorTraceSink sink;
     net.metrics().set_trace_sink(&sink);
-
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&]() -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
 
     GroupConfig cfg;
     cfg.order = OrderMode::kTotalAsymmetric;
     cfg.liveness = LivenessMode::kLively;
     cfg.phi_threshold_milli = accrual ? 8000 : 0;
     for (int i = 0; i < kServers; ++i) {
-        add().serve("svc", cfg, std::make_shared<RampServant>());
-        scheduler.run_until(scheduler.now() + 300_ms);
+        world.add_nso().serve("svc", cfg, std::make_shared<RampServant>());
+        world.run_for(300_ms);
     }
-    NewTopService& client = add();
+    NewTopService& client = world.add_nso();
     GroupProxy proxy = client.bind(
         "svc", {.mode = BindMode::kOpen, .restricted = true, .call_timeout = 2_s});
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
     GrayResult result;
-    net.set_cpu_slowdown(orbs[kSlowReplica]->node_id(), factor);
+    net.set_cpu_slowdown(world.orbs[kSlowReplica]->node_id(), factor);
     for (int k = 0; k < kCalls; ++k) {
         proxy.invoke(static_cast<std::uint32_t>(k + 1),
                      encode_to_bytes(static_cast<std::uint64_t>(k)),
@@ -122,20 +113,20 @@ GrayResult run_gray(double factor, bool accrual, std::uint64_t seed) {
                              ++result.timed_out;
                          }
                      });
-        scheduler.run_until(scheduler.now() + kCallSpacing);
+        world.run_for(kCallSpacing);
     }
     // Let the slowed replica's backlog drain (deadline shedding bounds it),
     // then crash a *healthy* replica and time the survivors' detection.
-    scheduler.run_until(scheduler.now() + 4_s);
+    world.run_for(4_s);
 
-    const std::uint64_t slow_id = nsos[kSlowReplica]->id().value();
-    const std::uint64_t crashed_id = nsos[kCrashReplica]->id().value();
-    const auto* info = directory.find_group("svc");
-    const View* view = nsos[0]->group_comm().current_view(info->id);
+    const std::uint64_t slow_id = world.nsos[kSlowReplica]->id().value();
+    const std::uint64_t crashed_id = world.nsos[kCrashReplica]->id().value();
+    const auto* info = world.directory.find_group("svc");
+    const View* view = world.nsos[0]->group_comm().current_view(info->id);
     result.slow_in_view = view != nullptr && view->contains(EndpointId(slow_id));
-    const SimTime crash_at = scheduler.now();
-    net.crash(orbs[kCrashReplica]->node_id());
-    scheduler.run_until(scheduler.now() + 8_s);
+    const SimTime crash_at = world.scheduler.now();
+    net.crash(world.orbs[kCrashReplica]->node_id());
+    world.run_for(8_s);
 
     for (const obs::TraceEvent& e : sink.events()) {
         if (e.kind != obs::TraceKind::kSuspected) continue;
@@ -146,7 +137,6 @@ GrayResult run_gray(double factor, bool accrual, std::uint64_t seed) {
     }
     result.suspicion_false = net.metrics().counter(obs::metric::kGcsSuspicionFalse);
     result.shed = net.metrics().counter(obs::metric::kInvShed);
-    net.metrics().set_trace_sink(nullptr);
     return result;
 }
 

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 
 namespace {
 
@@ -56,12 +56,10 @@ private:
     explicit PeerBench(const PeerOptions& options)
         : options_(options),
           sites_(calibration::make_paper_topology()),
-          network_(scheduler_, std::move(sites_.topology), options.seed) {}
+          world_(std::move(sites_.topology), options.seed) {}
 
     struct Member {
         std::size_t index{};
-        std::unique_ptr<Orb> orb;
-        std::unique_ptr<NewTopService> nso;
         PeerGroup group;
         int issued{0};
         std::vector<SimDuration> latencies;
@@ -90,7 +88,7 @@ private:
         Encoder e;
         e.put_u64(tag);
         e.put_string(body);
-        pending_deliveries_[tag] = PendingSample{0, scheduler_.now()};
+        pending_deliveries_[tag] = PendingSample{0, world_.scheduler.now()};
         member.group.publish(std::move(e).take());
     }
 
@@ -115,8 +113,8 @@ private:
         const PendingSample sample = it->second;
         pending_deliveries_.erase(it);
         if (tag % 1'000'000 >= static_cast<std::uint64_t>(options_.warmup_per_member)) {
-            sender.latencies.push_back(scheduler_.now() - sample.issued_at);
-            sender.window_end = scheduler_.now();
+            sender.latencies.push_back(world_.scheduler.now() - sample.issued_at);
+            sender.window_end = world_.scheduler.now();
             if (sender.window_start < 0) sender.window_start = sample.issued_at;
         }
     }
@@ -129,21 +127,19 @@ private:
         for (int i = 0; i < options_.members; ++i) {
             auto member = std::make_unique<Member>();
             member->index = static_cast<std::size_t>(i);
-            member->orb = std::make_unique<Orb>(network_, network_.add_node(site_of(i)));
-            member->nso = std::make_unique<NewTopService>(*member->orb, directory_);
             Member* raw = member.get();
-            member->group = member->nso->join_peer_group(
+            member->group = world_.add_nso(site_of(i)).join_peer_group(
                 "peer", config, [this, raw](const NewTopService::PeerMessage& m) {
                     on_delivery(raw->index, m.payload);
                 });
             members_.push_back(std::move(member));
-            scheduler_.run_until(scheduler_.now() + 500_ms);
+            world_.run_for(500_ms);
         }
 
         for (auto& member : members_) publish_next(*member);
         const int total = options_.warmup_per_member + options_.messages_per_member;
         for (int guard = 0; guard < 600; ++guard) {
-            scheduler_.run_until(scheduler_.now() + 1_s);
+            world_.run_for(1_s);
             bool all_done = pending_deliveries_.empty();
             for (const auto& member : members_) all_done &= member->issued >= total;
             if (all_done) break;
@@ -172,15 +168,13 @@ private:
         if (end > start && start >= 0) {
             result.group_msgs_per_s = static_cast<double>(measured) / to_seconds(end - start);
         }
-        result.metrics_json = network_.metrics().to_json();
+        result.metrics_json = world_.net.metrics().to_json();
         return result;
     }
 
     PeerOptions options_;
-    Scheduler scheduler_;
     calibration::PaperSites sites_;
-    Network network_;
-    Directory directory_;
+    World world_;
     std::vector<std::unique_ptr<Member>> members_;
     std::map<std::uint64_t, PendingSample> pending_deliveries_;
 };

@@ -97,30 +97,21 @@ struct ReconfigResult {
 };
 
 ReconfigResult run_reconfig(std::uint64_t seed) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), seed);
-    Directory directory;
-
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&]() -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
+    World world(calibration::make_lan_topology(), seed);
+    Scheduler& scheduler = world.scheduler;
 
     GroupConfig cfg;
     cfg.order = OrderMode::kTotalSymmetric;
     cfg.liveness = LivenessMode::kLively;
     for (int i = 0; i < kServers; ++i) {
-        add().serve("svc", cfg, std::make_shared<RandomNumberServant>(seed + 1 + i));
-        scheduler.run_until(scheduler.now() + 300_ms);
+        world.add_nso().serve("svc", cfg, std::make_shared<RandomNumberServant>(seed + 1 + i));
+        world.run_for(300_ms);
     }
-    NewTopService& client = add();
+    NewTopService& client = world.add_nso();
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen, .restricted = true});
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
-    const auto* info = directory.find_group("svc");
+    const auto* info = world.directory.find_group("svc");
     const GroupId group = info->id;
 
     ReconfigResult result;
@@ -151,11 +142,11 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
             result.episodes.push_back(episode);
             GroupConfig next = cfg;
             next.order = episode.to;
-            nsos[0]->reconfigure(group, next);
+            world.nsos[0]->reconfigure(group, next);
             auto probe = std::make_shared<std::function<void()>>();
             *probe = [&, probe, episode_index, expected_epoch] {
                 for (int i = 0; i < kServers; ++i) {
-                    if (nsos[static_cast<std::size_t>(i)]->config_epoch(group) <
+                    if (world.nsos[static_cast<std::size_t>(i)]->config_epoch(group) <
                         expected_epoch) {
                         scheduler.schedule_at(scheduler.now() + 500_us, *probe);
                         return;
@@ -167,11 +158,11 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
             };
             scheduler.schedule_at(scheduler.now() + 500_us, *probe);
         }
-        scheduler.run_until(scheduler.now() + kCallSpacing);
+        world.run_for(kCallSpacing);
     }
-    scheduler.run_until(scheduler.now() + 10_s);
+    world.run_for(10_s);
 
-    result.reconfig_switches = net.metrics().counter(obs::metric::kGcsReconfigs);
+    result.reconfig_switches = world.net.metrics().counter(obs::metric::kGcsReconfigs);
     SimTime lag_sum = 0;
     for (const Episode& episode : result.episodes) {
         const SimTime lag = episode.installed_at - episode.proposed_at;

@@ -72,7 +72,7 @@ private:
     explicit MttrBench(const MttrOptions& options)
         : options_(options),
           sites_(calibration::make_paper_topology()),
-          network_(scheduler_, std::move(sites_.topology), options.seed) {}
+          world_(std::move(sites_.topology), options.seed) {}
 
     [[nodiscard]] SiteId replica_site(int index) const {
         if (options_.setting == Setting::kLan) return sites_.newcastle;
@@ -91,8 +91,8 @@ private:
                           // Pace the loop instead of reissuing inline: while
                           // the binding is backed off, calls fail fast and an
                           // unpaced loop would spin the scheduler.
-                          scheduler_.schedule_after(options_.client_pace,
-                                                    [this] { issue_next(); });
+                          world_.scheduler.schedule_after(options_.client_pace,
+                                                          [this] { issue_next(); });
                       });
     }
 
@@ -103,17 +103,15 @@ private:
         config.liveness = LivenessMode::kLively;
         for (int i = 0; i < options_.replicas; ++i) {
             managers_.push_back(std::make_unique<RecoveryManager>(
-                network_, directory_, replica_site(i),
+                world_.net, world_.directory, replica_site(i),
                 make_active_generation("counter", config,
                                        [] { return std::make_shared<CounterServant>(); })));
-            scheduler_.run_until(scheduler_.now() + 300_ms);
+            world_.run_for(300_ms);
         }
-        scheduler_.run_until(scheduler_.now() + 2_s);
+        world_.run_for(2_s);
 
-        client_orb_ = std::make_unique<Orb>(network_, network_.add_node(client_site()));
-        client_nso_ = std::make_unique<NewTopService>(*client_orb_, directory_);
-        proxy_ = client_nso_->bind("counter", BindOptions{.mode = BindMode::kOpen});
-        scheduler_.run_until(scheduler_.now() + 1_s);
+        proxy_ = world_.add_nso(client_site()).bind("counter", {.mode = BindMode::kOpen});
+        world_.run_for(1_s);
         issue_next();
 
         // Fault cycles: round-robin victim, fixed outage, generous gap so
@@ -122,31 +120,27 @@ private:
             RecoveryManager& victim = *managers_[cycle % managers_.size()];
             victim.crash();
             victim.restart_after(options_.outage);
-            scheduler_.run_until(scheduler_.now() + options_.cycle_gap);
+            world_.run_for(options_.cycle_gap);
         }
-        scheduler_.run_until(scheduler_.now() + 5_s);
+        world_.run_for(5_s);
 
         MttrResult result;
         result.completions = completions_;
-        if (const auto* mttr = network_.metrics().histogram("recovery.mttr")) {
+        if (const auto* mttr = world_.net.metrics().histogram("recovery.mttr")) {
             result.recoveries = mttr->count();
             result.mean_ms = to_ms(mttr->sum()) / static_cast<double>(mttr->count());
             result.min_ms = to_ms(mttr->min());
             result.p90_ms = to_ms(mttr->quantile(0.90));
             result.max_ms = to_ms(mttr->max());
         }
-        result.metrics_json = network_.metrics().to_json();
+        result.metrics_json = world_.net.metrics().to_json();
         return result;
     }
 
     MttrOptions options_;
-    Scheduler scheduler_;
     calibration::PaperSites sites_;
-    Network network_;
-    Directory directory_;
+    World world_;
     std::vector<std::unique_ptr<RecoveryManager>> managers_;
-    std::unique_ptr<Orb> client_orb_;
-    std::unique_ptr<NewTopService> client_nso_;
     GroupProxy proxy_;
     std::uint64_t completions_{0};
 };

@@ -60,9 +60,9 @@ struct SaturationResult {
 /// One flood run: `senders` members feed open-loop bursts into an
 /// asymmetric-order group; deliveries are counted at the sequencer.
 SaturationResult run_saturation(const SaturationOptions& options) {
-    Scheduler scheduler;
-    Network network(scheduler, calibration::make_lan_topology(), options.seed);
-    Directory directory;
+    World world(calibration::make_lan_topology(), options.seed);
+    Scheduler& scheduler = world.scheduler;
+    Network& network = world.net;
 
     std::unique_ptr<obs::RingTraceSink> sink;
     if (options.profile) {
@@ -72,11 +72,9 @@ SaturationResult run_saturation(const SaturationOptions& options) {
         network.enable_gauge_sampling(10_ms, 2_s);
     }
 
-    std::vector<std::unique_ptr<Orb>> orbs;
     std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
     for (int i = 0; i < options.members; ++i) {
-        orbs.push_back(std::make_unique<Orb>(network, network.add_node(SiteId(0))));
-        endpoints.push_back(std::make_unique<GroupCommEndpoint>(*orbs.back(), directory));
+        endpoints.push_back(std::make_unique<GroupCommEndpoint>(world.add_orb(), world.directory));
     }
 
     GroupConfig config;
@@ -85,7 +83,7 @@ SaturationResult run_saturation(const SaturationOptions& options) {
     config.order_max_batch = options.order_max_batch;
     const GroupId group = endpoints[0]->create_group("saturation", config);
     for (int i = 1; i < options.members; ++i) endpoints[i]->join_group("saturation");
-    scheduler.run_until(scheduler.now() + 500_ms);
+    world.run_for(500_ms);
 
     std::uint64_t observed = 0;
     endpoints[0]->set_deliver_handler(
@@ -108,11 +106,11 @@ SaturationResult run_saturation(const SaturationOptions& options) {
         scheduler.schedule_after(SimDuration{s + 1}, [feed] { (*feed)(); });
     }
 
-    scheduler.run_until(scheduler.now() + options.warmup);
+    world.run_for(options.warmup);
     const std::uint64_t delivered_before = observed;
     const std::uint64_t wire_before = network.stats().messages_sent;
     const alloc::Snapshot heap_before = alloc::snapshot();
-    scheduler.run_until(scheduler.now() + options.measured);
+    world.run_for(options.measured);
     const alloc::Snapshot heap_after = alloc::snapshot();
 
     SaturationResult result;
@@ -130,7 +128,6 @@ SaturationResult run_saturation(const SaturationOptions& options) {
     result.metrics_json = network.metrics().to_json();
 
     if (sink != nullptr) {
-        network.metrics().set_trace_sink(nullptr);
         obs::TraceDump dump = sink->dump();
         if (const obs::LatencyHistogram* h =
                 network.metrics().histogram(obs::metric::kGcsDeliveryLatencyUs)) {

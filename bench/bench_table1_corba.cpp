@@ -9,7 +9,7 @@
 #include <string>
 
 #include "net/calibration.hpp"
-#include "orb/orb.hpp"
+#include "newtop/world.hpp"
 #include "serial/serial.hpp"
 #include "util/rng.hpp"
 
@@ -35,10 +35,10 @@ struct DirectResult {
 };
 
 DirectResult run_direct(SiteId client_site, SiteId server_site, Topology topology) {
-    Scheduler scheduler;
-    Network network(scheduler, std::move(topology), 3);
-    Orb server(network, network.add_node(server_site));
-    Orb client(network, network.add_node(client_site));
+    World world(std::move(topology), 3);
+    Scheduler& scheduler = world.scheduler;
+    Orb& server = world.add_orb(server_site);
+    Orb& client = world.add_orb(client_site);
     const Ior target = server.adapter().activate(std::make_shared<RandomServant>(), "Random");
 
     constexpr int kWarmup = 5;
@@ -57,7 +57,7 @@ DirectResult run_direct(SiteId client_site, SiteId server_site, Topology topolog
         });
     };
     issue();
-    scheduler.run_until(scheduler.now() + 60_s);
+    world.run_for(60_s);
 
     DirectResult result{};
     result.latency_ms = to_ms(latency_sum) / kMeasured;
@@ -65,7 +65,7 @@ DirectResult run_direct(SiteId client_site, SiteId server_site, Topology topolog
     // The loop stops issuing when done; use last completion implicitly via
     // latency (closed loop => throughput = 1/latency for one client).
     result.throughput_rps = 1000.0 / result.latency_ms;
-    result.metrics_json = network.metrics().to_json();
+    result.metrics_json = world.net.metrics().to_json();
     return result;
 }
 

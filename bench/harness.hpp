@@ -26,7 +26,7 @@
 
 #include "alloc_hook.hpp"
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "obs/export.hpp"
 #include "obs/names.hpp"
 #include "obs/profiler.hpp"
@@ -103,11 +103,10 @@ private:
     explicit RequestReplyBench(const RequestReplyOptions& options)
         : options_(options),
           sites_(calibration::make_paper_topology()),
-          network_(scheduler_, std::move(sites_.topology), options.seed) {}
+          world_(std::move(sites_.topology), options.seed) {}
 
     struct Client {
-        std::unique_ptr<Orb> orb;
-        std::unique_ptr<NewTopService> nso;
+        NewTopService* nso{nullptr};
         GroupProxy proxy;
         int completed{0};
         SimTime issued_at{0};
@@ -138,10 +137,10 @@ private:
     }
 
     void issue_next(Client& client) {
-        client.issued_at = scheduler_.now();
+        client.issued_at = world_.scheduler.now();
         if (client.completed == options_.warmup_per_client &&
             client.first_measured_issue < 0) {
-            client.first_measured_issue = scheduler_.now();
+            client.first_measured_issue = world_.scheduler.now();
         }
         client.proxy.invoke(1, Bytes{}, options_.mode, [this, &client](const GroupReply&) {
             on_completion(client);
@@ -150,8 +149,8 @@ private:
 
     void on_completion(Client& client) {
         if (client.completed >= options_.warmup_per_client) {
-            client.latencies.push_back(scheduler_.now() - client.issued_at);
-            client.last_completion = scheduler_.now();
+            client.latencies.push_back(world_.scheduler.now() - client.issued_at);
+            client.last_completion = world_.scheduler.now();
         }
         ++client.completed;
         if (client.completed < options_.warmup_per_client + options_.requests_per_client) {
@@ -171,7 +170,7 @@ private:
     }
 
     void append_expectation(obs::TraceDump& dump, std::string_view metric) {
-        if (const obs::LatencyHistogram* h = network_.metrics().histogram(metric)) {
+        if (const obs::LatencyHistogram* h = world_.net.metrics().histogram(metric)) {
             dump.expectations.push_back(
                 obs::TraceExpectation{std::string(metric), h->count(), h->sum()});
         }
@@ -182,43 +181,37 @@ private:
         // experiment and writes a Perfetto-loadable JSON per run.
         // newtop-lint: allow(getenv): export destination only; cannot influence simulated behaviour
         const char* trace_dir = std::getenv("NEWTOP_TRACE_OUT");
-        std::unique_ptr<obs::RingTraceSink> trace_sink;
         if (options_.profile || (trace_dir != nullptr && *trace_dir != '\0')) {
-            trace_sink = std::make_unique<obs::RingTraceSink>(std::size_t{1} << 20);
-            trace_sink->attach_metrics(&network_.metrics());
-            network_.metrics().set_trace_sink(trace_sink.get());
+            trace_sink_ = std::make_unique<obs::RingTraceSink>(std::size_t{1} << 20);
+            trace_sink_->attach_metrics(&world_.net.metrics());
+            world_.net.metrics().set_trace_sink(trace_sink_.get());
         }
         if (options_.profile) {
             // Queue/credit time series ride along with the trace: holdback
             // depth, credits in flight, blocked sends, CPU backlog and
             // directory size sampled on fixed sim-time ticks.
-            network_.enable_gauge_sampling(100_ms, 700_s);
+            world_.net.enable_gauge_sampling(100_ms, 700_s);
         }
 
         // Servers.
         GroupConfig server_config;
         server_config.order = options_.server_order;
         for (int i = 0; i < options_.servers; ++i) {
-            server_orbs_.push_back(
-                std::make_unique<Orb>(network_, network_.add_node(server_site(i))));
-            server_nsos_.push_back(
-                std::make_unique<NewTopService>(*server_orbs_.back(), directory_));
-            server_nsos_.back()->serve("svc", server_config,
-                                       std::make_shared<RandomNumberServant>(options_.seed));
-            scheduler_.run_until(scheduler_.now() + 300_ms);
+            world_.add_nso(server_site(i))
+                .serve("svc", server_config, std::make_shared<RandomNumberServant>(options_.seed));
+            world_.run_for(300_ms);
         }
 
         // Clients.
         for (int i = 0; i < options_.clients; ++i) {
             auto client = std::make_unique<Client>();
-            client->orb = std::make_unique<Orb>(network_, network_.add_node(client_site(i)));
-            client->nso = std::make_unique<NewTopService>(*client->orb, directory_);
+            client->nso = &world_.add_nso(client_site(i));
             client->proxy = client->nso->bind("svc", options_.bind);
             clients_.push_back(std::move(client));
         }
-        scheduler_.run_until(scheduler_.now() + 2_s);  // bindings settle
+        world_.run_for(2_s);  // bindings settle
 
-        const std::uint64_t wire_before = network_.stats().messages_sent;
+        const std::uint64_t wire_before = world_.net.stats().messages_sent;
         for (auto& client : clients_) issue_next(*client);
 
         // Run until every client has finished its measured batch (bounded
@@ -226,14 +219,14 @@ private:
         const int total = options_.warmup_per_client + options_.requests_per_client;
         const SimDuration step = 1_s;
         for (int guard = 0; guard < 600; ++guard) {
-            scheduler_.run_until(scheduler_.now() + step);
+            world_.run_for(step);
             bool all_done = true;
             for (const auto& client : clients_) all_done &= client->completed >= total;
             if (all_done) break;
         }
 
         RequestReplyResult result;
-        result.wire_messages = network_.stats().messages_sent - wire_before;
+        result.wire_messages = world_.net.stats().messages_sent - wire_before;
         std::vector<double> per_client_means;
         SimTime first_issue = -1;
         SimTime last_completion = 0;
@@ -259,16 +252,13 @@ private:
             result.throughput_rps = static_cast<double>(measured) /
                                     to_seconds(last_completion - first_issue);
         }
-        result.metrics_json = network_.metrics().to_json();
+        result.metrics_json = world_.net.metrics().to_json();
 
-        if (trace_sink != nullptr) {
-            network_.metrics().set_trace_sink(nullptr);
-        }
-        if (options_.profile && trace_sink != nullptr) {
+        if (options_.profile && trace_sink_ != nullptr) {
             // Package the stream as a self-describing dump: the embedded
             // histogram totals are what the profiler reconciles its phase
             // sums against (>1% mismatch = tracing bug).
-            obs::TraceDump dump = trace_sink->dump();
+            obs::TraceDump dump = trace_sink_->dump();
             append_expectation(dump, obs::metric::kInvReplyWaitOneway);
             append_expectation(dump, obs::metric::kInvReplyWaitFirst);
             append_expectation(dump, obs::metric::kInvReplyWaitMajority);
@@ -288,21 +278,16 @@ private:
                 std::cout << "# trace-dump " << path.string() << "\n";
             }
         }
-        if (trace_dir != nullptr && *trace_dir != '\0' && trace_sink != nullptr) {
+        if (trace_dir != nullptr && *trace_dir != '\0' && trace_sink_ != nullptr) {
             obs::ExportOptions export_options;
-            for (const auto& nso : server_nsos_) {
-                export_options.actor_to_node[nso->id().value()] =
-                    nso->orb().node_id().value();
-            }
-            for (const auto& client : clients_) {
-                export_options.actor_to_node[client->nso->id().value()] =
-                    client->orb->node_id().value();
+            for (const auto& nso : world_.nsos) {
+                export_options.actor_to_node[nso->id().value()] = nso->orb().node_id().value();
             }
             const std::filesystem::path dir(trace_dir);
             std::filesystem::create_directories(dir);
             const std::filesystem::path path = dir / (label() + ".json");
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << obs::export_chrome_trace(trace_sink->snapshot(), export_options);
+            out << obs::export_chrome_trace(trace_sink_->snapshot(), export_options);
             out.close();
             std::cout << "# trace " << path.string() << "\n";
         }
@@ -310,12 +295,9 @@ private:
     }
 
     RequestReplyOptions options_;
-    Scheduler scheduler_;
     calibration::PaperSites sites_;
-    Network network_;
-    Directory directory_;
-    std::vector<std::unique_ptr<Orb>> server_orbs_;
-    std::vector<std::unique_ptr<NewTopService>> server_nsos_;
+    World world_;
+    std::unique_ptr<obs::RingTraceSink> trace_sink_;  // profile or NEWTOP_TRACE_OUT only
     std::vector<std::unique_ptr<Client>> clients_;
 };
 

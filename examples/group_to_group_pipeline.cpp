@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 
 using namespace newtop;
 using namespace newtop::sim_literals;
@@ -32,53 +32,36 @@ public:
     int entries{0};
 };
 
-struct Host {
-    std::unique_ptr<Orb> orb;
-    std::unique_ptr<NewTopService> nso;
-};
-
 }  // namespace
 
 int main() {
-    Scheduler scheduler;
-    Network network(scheduler, calibration::make_lan_topology(), /*seed=*/5);
-    Directory directory;
-
-    auto add_host = [&] {
-        Host h;
-        h.orb = std::make_unique<Orb>(network, network.add_node(SiteId(0)));
-        h.nso = std::make_unique<NewTopService>(*h.orb, directory);
-        return h;
-    };
+    World world(calibration::make_lan_topology(), /*seed=*/5);
 
     // Back-end group gy: two audit servers.
     GroupConfig config;
     config.order = OrderMode::kTotalAsymmetric;
-    std::vector<Host> backends;
     std::vector<std::shared_ptr<AuditServant>> audits;
     for (int i = 0; i < 2; ++i) {
-        backends.push_back(add_host());
         audits.push_back(std::make_shared<AuditServant>());
-        backends.back().nso->serve("audit", config, audits.back());
-        scheduler.run_until(scheduler.now() + 300_ms);
+        world.add_nso().serve("audit", config, audits.back());
+        world.run_for(300_ms);
     }
     std::printf("back-end group 'audit' up with 2 members\n");
 
     // Front-end group gx: two members that process the same inputs.
-    std::vector<Host> frontends;
     GroupConfig gx_config;
     gx_config.order = OrderMode::kTotalSymmetric;
-    frontends.push_back(add_host());
-    const GroupId gx = frontends[0].nso->group_comm().create_group("frontend", gx_config);
-    frontends.push_back(add_host());
-    frontends[1].nso->group_comm().join_group("frontend");
-    scheduler.run_until(scheduler.now() + 500_ms);
+    NewTopService& fe1 = world.add_nso();
+    const GroupId gx = fe1.group_comm().create_group("frontend", gx_config);
+    NewTopService& fe2 = world.add_nso();
+    fe2.group_comm().join_group("frontend");
+    world.run_for(500_ms);
     std::printf("front-end group 'frontend' up with 2 members\n");
 
     // Each front-end member binds the *group* to the back-end.
     std::vector<GroupProxy> proxies;
-    for (auto& fe : frontends) proxies.push_back(fe.nso->bind_group(gx, "audit"));
-    scheduler.run_until(scheduler.now() + 1_s);
+    for (NewTopService* fe : {&fe1, &fe2}) proxies.push_back(fe->bind_group(gx, "audit"));
+    world.run_for(1_s);
 
     // Both members issue the same logical call; the replies come back to
     // both, and the back-end executed it once per replica (not per caller).
@@ -96,7 +79,7 @@ int main() {
                                               : "<none>");
                           });
     }
-    scheduler.run_until(scheduler.now() + 3_s);
+    world.run_for(3_s);
 
     std::printf("replies delivered to %d front-end members\n", deliveries);
     std::printf("back-end executions: replica1=%d replica2=%d (each exactly once)\n",

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 
 using namespace newtop;
 using namespace newtop::sim_literals;
@@ -36,10 +36,9 @@ private:
 }  // namespace
 
 int main() {
-    // 1. A simulated fast-Ethernet LAN (see DESIGN.md for the calibration).
-    Scheduler scheduler;
-    Network network(scheduler, calibration::make_lan_topology(), /*seed=*/2026);
-    Directory directory;
+    // 1. A simulated fast-Ethernet LAN (see DESIGN.md for the calibration):
+    //    the scheduler, the network every host shares and the directory.
+    World world(calibration::make_lan_topology(), /*seed=*/2026);
 
     // 2. Three server hosts, each running an ORB, a NewTop service object
     //    and a replica of the random-number servant.  All replicas draw
@@ -47,21 +46,15 @@ int main() {
     GroupConfig server_config;
     server_config.order = OrderMode::kTotalAsymmetric;  // best for request-reply (§5)
 
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     for (int i = 0; i < 3; ++i) {
-        orbs.push_back(std::make_unique<Orb>(network, network.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        nsos.back()->serve("random", server_config, std::make_shared<RandomServant>(42));
-        scheduler.run_until(scheduler.now() + 200_ms);  // let the member join
+        world.add_nso().serve("random", server_config, std::make_shared<RandomServant>(42));
+        world.run_for(200_ms);  // let the member join
     }
     std::printf("server group 'random' is up with 3 members\n");
 
     // 3. A client host binds with the open-group approach: it forms a
     //    client/server group with one member (the request manager).
-    orbs.push_back(std::make_unique<Orb>(network, network.add_node(SiteId(0))));
-    auto& client = *nsos.emplace_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-    GroupProxy proxy = client.bind("random", {.mode = BindMode::kOpen});
+    GroupProxy proxy = world.add_nso().bind("random", {.mode = BindMode::kOpen});
 
     // 4. The four invocation primitives (§2.1).
     auto print_reply = [](const char* label) {
@@ -78,28 +71,28 @@ int main() {
     };
 
     proxy.invoke(kDraw, {}, InvocationMode::kWaitFirst, print_reply("wait-first"));
-    scheduler.run_until(scheduler.now() + 1_s);
+    world.run_for(1_s);
     proxy.invoke(kDraw, {}, InvocationMode::kWaitMajority, print_reply("wait-majority"));
-    scheduler.run_until(scheduler.now() + 1_s);
+    world.run_for(1_s);
     proxy.invoke(kDraw, {}, InvocationMode::kWaitAll, print_reply("wait-all"));
-    scheduler.run_until(scheduler.now() + 1_s);
+    world.run_for(1_s);
     proxy.one_way(kDraw, {});
     std::printf("one-way        -> fire and forget\n");
-    scheduler.run_until(scheduler.now() + 1_s);
+    world.run_for(1_s);
 
     // 5. Fault tolerance: kill the request manager mid-flight; the smart
     //    proxy rebinds to another member and the retry is answered from the
     //    servers' reply caches without re-execution.
     const EndpointId manager = *proxy.manager();
-    for (std::size_t i = 0; i < nsos.size(); ++i) {
-        if (nsos[i]->id() == manager) {
-            network.crash(orbs[i]->node_id());
+    for (const auto& nso : world.nsos) {
+        if (nso->id() == manager) {
+            world.net.crash(nso->orb().node_id());
             std::printf("crashed the request manager (endpoint %llu)\n",
                         static_cast<unsigned long long>(manager.value()));
         }
     }
     proxy.invoke(kDraw, {}, InvocationMode::kWaitAll, print_reply("after crash"));
-    scheduler.run_until(scheduler.now() + 10_s);
+    world.run_for(10_s);
     std::printf("rebinds performed: %llu\n",
                 static_cast<unsigned long long>(proxy.rebinds()));
     return 0;

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "replication/active_replica.hpp"
 
 using namespace newtop;
@@ -68,26 +68,20 @@ Bytes put_args(const std::string& key, const std::string& value) {
 
 int main() {
     auto sites = calibration::make_paper_topology();
-    Scheduler scheduler;
-    Network network(scheduler, std::move(sites.topology), /*seed=*/99);
-    Directory directory;
+    World world(std::move(sites.topology), /*seed=*/99);
 
     GroupConfig config;
     config.order = OrderMode::kTotalAsymmetric;
     config.liveness = LivenessMode::kLively;  // replicas watch each other
 
     // Three replicas on the Newcastle LAN.
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     std::vector<std::shared_ptr<KvServant>> stores;
     std::vector<std::unique_ptr<ActiveReplica>> replicas;
     auto add_replica = [&] {
-        orbs.push_back(std::make_unique<Orb>(network, network.add_node(sites.newcastle)));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
+        NewTopService& nso = world.add_nso(sites.newcastle);
         stores.push_back(std::make_shared<KvServant>());
-        replicas.push_back(
-            std::make_unique<ActiveReplica>(*nsos.back(), "kv", config, stores.back()));
-        scheduler.run_until(scheduler.now() + 500_ms);
+        replicas.push_back(std::make_unique<ActiveReplica>(nso, "kv", config, stores.back()));
+        world.run_for(500_ms);
     };
     add_replica();
     add_replica();
@@ -95,14 +89,11 @@ int main() {
     std::printf("kv store up: 3 replicas in Newcastle\n");
 
     // A client in Pisa: high-latency path, so the open-group approach.
-    orbs.push_back(std::make_unique<Orb>(network, network.add_node(sites.pisa)));
-    auto& client = *nsos.emplace_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-    GroupProxy kv = client.bind("kv", {.mode = BindMode::kOpen, .restricted = true});
+    GroupProxy kv =
+        world.add_nso(sites.pisa).bind("kv", {.mode = BindMode::kOpen, .restricted = true});
 
     int pending = 0;
-    auto wait_done = [&] {
-        scheduler.run_until(scheduler.now() + 2_s);
-    };
+    auto wait_done = [&] { world.run_for(2_s); };
     auto put = [&](const std::string& key, const std::string& value) {
         ++pending;
         kv.invoke(kPut, put_args(key, value), InvocationMode::kWaitMajority,
@@ -133,14 +124,14 @@ int main() {
     // Grow the group: the new replica state-transfers before serving.
     std::printf("adding a fourth replica...\n");
     add_replica();
-    scheduler.run_until(scheduler.now() + 3_s);
+    world.run_for(3_s);
     std::printf("replica 4 synced: %s\n", replicas[3]->synced() ? "yes" : "no");
 
     // Kill one replica; the group masks it.
-    network.crash(orbs[1]->node_id());
+    world.net.crash(world.orbs[1]->node_id());
     std::printf("crashed replica 2; writing through the fault...\n");
     put("status", "still-up");
-    scheduler.run_until(scheduler.now() + 5_s);
+    world.run_for(5_s);
     get("status");
 
     std::printf("replica sizes: ");

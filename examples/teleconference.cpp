@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 
 using namespace newtop;
 using namespace newtop::sim_literals;
@@ -22,8 +22,6 @@ namespace {
 
 struct Participant {
     std::string name;
-    std::unique_ptr<Orb> orb;
-    std::unique_ptr<NewTopService> nso;
     PeerGroup room;
     std::vector<std::string> transcript;
 };
@@ -32,9 +30,7 @@ struct Participant {
 
 int main() {
     auto sites = calibration::make_paper_topology();
-    Scheduler scheduler;
-    Network network(scheduler, std::move(sites.topology), /*seed=*/7);
-    Directory directory;
+    World world(std::move(sites.topology), /*seed=*/7);
 
     // Lively group with the symmetric protocol: everyone is multicasting
     // regularly, so distributing the ordering duty beats funnelling
@@ -53,10 +49,8 @@ int main() {
     for (const auto& [name, site] : seats) {
         auto p = std::make_unique<Participant>();
         p->name = name;
-        p->orb = std::make_unique<Orb>(network, network.add_node(site));
-        p->nso = std::make_unique<NewTopService>(*p->orb, directory);
         Participant* raw = p.get();
-        p->room = p->nso->join_peer_group(
+        p->room = world.add_nso(site).join_peer_group(
             "conference", config,
             [raw](const NewTopService::PeerMessage& m) {
                 raw->transcript.emplace_back(m.payload.begin(), m.payload.end());
@@ -66,7 +60,7 @@ int main() {
                             static_cast<unsigned long long>(view.epoch),
                             view.members.size());
             });
-        scheduler.run_until(scheduler.now() + 500_ms);
+        world.run_for(500_ms);
         people.push_back(std::move(p));
     }
 
@@ -78,11 +72,11 @@ int main() {
     say(0, "shall we start?");
     say(1, "the latency from London is fine");
     say(2, "Pisa checking in");
-    scheduler.run_until(scheduler.now() + 1_s);
+    world.run_for(1_s);
     say(2, "agenda item one");
     say(0, "agreed");
     say(1, "agreed");
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
     std::printf("\n--- transcript as seen from each site ---\n");
     for (const auto& p : people) {

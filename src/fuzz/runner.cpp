@@ -5,8 +5,8 @@
 #include <memory>
 #include <utility>
 
-#include "newtop/newtop_service.hpp"
 #include "newtop/recovery_manager.hpp"
+#include "newtop/world.hpp"
 #include "util/check.hpp"
 
 namespace newtop::fuzz {
@@ -83,7 +83,6 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
     NEWTOP_EXPECTS(scenario.sites >= 1, "scenario needs at least one site");
 
     // -- world ---------------------------------------------------------------
-    Scheduler scheduler;
     Topology topology;
     for (int sidx = 0; sidx < scenario.sites; ++sidx) {
         topology.add_site("site" + std::to_string(sidx), to_params(scenario.lan));
@@ -95,22 +94,11 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
                               to_params(scenario.wan));
         }
     }
-    Network net(scheduler, std::move(topology), scenario.seed);
+    World world(std::move(topology), scenario.seed);
+    Scheduler& scheduler = world.scheduler;
+    Network& net = world.net;
     obs::RingTraceSink sink(options.trace_capacity);
     net.metrics().set_trace_sink(&sink);
-    Directory directory;
-
-    struct Actor {
-        std::unique_ptr<Orb> orb;
-        std::unique_ptr<NewTopService> nso;
-    };
-    auto spawn = [&](int site) {
-        Actor actor;
-        actor.orb = std::make_unique<Orb>(
-            net, net.add_node(SiteId(static_cast<SiteId::rep_type>(site))));
-        actor.nso = std::make_unique<NewTopService>(*actor.orb, directory);
-        return actor;
-    };
 
     // -- servers -------------------------------------------------------------
     // Every server replica runs under a RecoveryManager so kRestart faults
@@ -155,16 +143,16 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
                 return gen;
             };
             rt->mgr = std::make_unique<RecoveryManager>(
-                net, directory, SiteId(static_cast<SiteId::rep_type>(site)),
+                net, world.directory, SiteId(static_cast<SiteId::rep_type>(site)),
                 std::move(factory));
             servers.push_back(std::move(rt));
-            scheduler.run_until(scheduler.now() + 300_ms);
+            world.run_for(300_ms);
         }
     }
 
     // -- clients -------------------------------------------------------------
     struct ClientRt {
-        Actor actor;
+        NewTopService* nso{nullptr};
         GroupProxy proxy;
         const ClientSpec* spec{nullptr};
         std::map<std::string, PeerGroup> peers;
@@ -174,7 +162,7 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
     std::vector<std::unique_ptr<ClientRt>> clients;
     for (const ClientSpec& spec : scenario.clients) {
         auto rt = std::make_unique<ClientRt>();
-        rt->actor = spawn(spec.site);
+        rt->nso = &world.add_nso(SiteId(static_cast<SiteId::rep_type>(spec.site)));
         rt->spec = &spec;
         BindOptions bind;
         bind.mode = spec.bind;
@@ -182,10 +170,10 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
         bind.async_forwarding = spec.async_forwarding;
         bind.cs_order = spec.cs_order;
         bind.call_timeout = static_cast<SimDuration>(spec.call_timeout_us);
-        rt->proxy = rt->actor.nso->bind(service_name(spec.service), bind);
+        rt->proxy = rt->nso->bind(service_name(spec.service), bind);
         clients.push_back(std::move(rt));
     }
-    scheduler.run_until(scheduler.now() + static_cast<SimDuration>(scenario.settle_us));
+    world.run_for(static_cast<SimDuration>(scenario.settle_us));
 
     // -- overlapping peer groups ----------------------------------------------
     const int total_servers = scenario.total_servers();
@@ -204,12 +192,12 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
                                         rt.mgr->nso().join_peer_group(name, config, noop));
             } else {
                 ClientRt& rt = *clients[static_cast<std::size_t>(member - total_servers)];
-                rt.peers.emplace(name, rt.actor.nso->join_peer_group(name, config, noop));
+                rt.peers.emplace(name, rt.nso->join_peer_group(name, config, noop));
             }
-            scheduler.run_until(scheduler.now() + 300_ms);
+            world.run_for(300_ms);
         }
     }
-    scheduler.run_until(scheduler.now() + 500_ms);
+    world.run_for(500_ms);
 
     // -- workload ------------------------------------------------------------
     const SimTime start = scheduler.now();
@@ -282,8 +270,8 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
             }
             case FaultSpec::Kind::kCrashClient: {
                 ClientRt& rt = *clients[static_cast<std::size_t>(fault.a)];
-                exempt.insert(rt.actor.nso->id().value());
-                NodeId node = rt.actor.orb->node_id();
+                exempt.insert(rt.nso->id().value());
+                NodeId node = rt.nso->orb().node_id();
                 scheduler.schedule_at(at, [&net, node] { net.crash(node); });
                 break;
             }
@@ -345,7 +333,7 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
                 const OrderMode target = fault.b == 0 ? OrderMode::kTotalAsymmetric
                                                       : OrderMode::kTotalSymmetric;
                 scheduler.schedule_at(at, [&, j, target] {
-                    const auto* info = directory.find_group(service_name(j));
+                    const auto* info = world.directory.find_group(service_name(j));
                     if (info == nullptr) return;
                     const int replicas = static_cast<int>(
                         scenario.services[static_cast<std::size_t>(j)].server_sites.size());
@@ -370,7 +358,7 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
 
     // -- run + drain -----------------------------------------------------------
     scheduler.run_until(start + static_cast<SimDuration>(scenario.run_us));
-    scheduler.run_until(scheduler.now() + static_cast<SimDuration>(scenario.drain_us));
+    world.run_for(static_cast<SimDuration>(scenario.drain_us));
     // Bounded extra windows: a still-working scenario (slow rebind chains,
     // a restarted replica mid-resync) gets time to finish; a genuine hang
     // survives them and is reported.
@@ -386,14 +374,13 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
     for (int guard = 0; guard < 8; ++guard) {
         bool all_done = !recovery_pending();
         for (const auto& rt : clients) {
-            if (exempt.contains(rt->actor.nso->id().value())) continue;
+            if (exempt.contains(rt->nso->id().value())) continue;
             all_done &= rt->done >= rt->spec->calls;
         }
         if (all_done) break;
-        scheduler.run_until(scheduler.now() + 5_s);
+        world.run_for(5_s);
     }
 
-    net.metrics().set_trace_sink(nullptr);
     std::vector<obs::TraceEvent> events = sink.snapshot();
     if (options.mutator) options.mutator(events);
 
@@ -401,12 +388,12 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
     obs::OracleOptions oracle_options;
     for (std::size_t j = 0; j < scenario.services.size(); ++j) {
         if (scenario.services[j].order != OrderMode::kCausal) continue;
-        const auto* info = directory.find_group(service_name(static_cast<int>(j)));
+        const auto* info = world.directory.find_group(service_name(static_cast<int>(j)));
         if (info != nullptr) oracle_options.causal_groups.insert(info->id.value());
     }
     for (std::size_t p = 0; p < scenario.peers.size(); ++p) {
         if (scenario.peers[p].order != OrderMode::kCausal) continue;
-        const auto* info = directory.find_group("peer" + std::to_string(p));
+        const auto* info = world.directory.find_group("peer" + std::to_string(p));
         if (info != nullptr) oracle_options.causal_groups.insert(info->id.value());
     }
 

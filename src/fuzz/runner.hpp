@@ -10,10 +10,10 @@
 // or timed out) — a call that silently hangs is a protocol bug even when
 // ordering and virtual synchrony hold.
 //
-// Every run owns a fresh Scheduler, Network (and with it a fresh
-// MetricsRegistry) and trace sink, so consecutive runs cannot bleed state
-// into each other's verdicts — the property the cross-run regression test
-// in tests/fuzz_test.cpp pins down.
+// Every run owns a fresh World (src/newtop/world.hpp: scheduler, network
+// and with it a fresh MetricsRegistry, directory) and trace sink, so
+// consecutive runs cannot bleed state into each other's verdicts — the
+// property the cross-run regression test in tests/fuzz_test.cpp pins down.
 #pragma once
 
 #include <cstdint>

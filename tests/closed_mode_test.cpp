@@ -8,15 +8,15 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
-#include "trace_oracle.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
 namespace {
 
 using namespace sim_literals;
+using test::call;
 
 constexpr std::uint32_t kGet = 1;
 constexpr std::uint32_t kIncrement = 2;
@@ -40,75 +40,46 @@ private:
     std::int64_t value_{0};
 };
 
-struct ClosedWorld : ::testing::Test {
-    ClosedWorld() : net(scheduler, calibration::make_lan_topology(), 31) {
+struct ClosedWorld : ::testing::Test, World {
+    ClosedWorld() : World(calibration::make_lan_topology(), 31) {
         for (int i = 0; i < 3; ++i) {
-            const NodeId node = net.add_node(SiteId(0));
-            orbs.push_back(std::make_unique<Orb>(net, node));
-            nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
+            NewTopService& nso = add_nso();
             servants.push_back(std::make_shared<CounterServant>());
             GroupConfig cfg;
             cfg.order = OrderMode::kTotalAsymmetric;
-            nsos.back()->serve("svc", cfg, servants.back());
+            nso.serve("svc", cfg, servants.back());
             run_for(200_ms);
         }
     }
 
-    std::size_t add_client() {
-        const NodeId node = net.add_node(SiteId(0));
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return nsos.size() - 1;
-    }
-
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    GroupReply call(GroupProxy& proxy, std::uint32_t method, Bytes args, InvocationMode mode,
-                    SimDuration budget = 5_s) {
-        GroupReply out;
-        bool done = false;
-        proxy.invoke(method, std::move(args), mode, [&](const GroupReply& r) {
-            out = r;
-            done = true;
-        });
-        run_for(budget);
-        EXPECT_TRUE(done) << "call did not complete";
-        return out;
-    }
-
-    Scheduler scheduler;
-    Network net;
     test::OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     std::vector<std::shared_ptr<CounterServant>> servants;
 };
 
 TEST_F(ClosedWorld, BindingBecomesReadyWithAllServersInTheGroup) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     EXPECT_FALSE(proxy.ready());
     run_for(2_s);
     EXPECT_TRUE(proxy.ready());
 }
 
 TEST_F(ClosedWorld, CallsQueuedBeforeReadyAreDelivered) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     // Invoke immediately, before the group has formed.
     const GroupReply reply =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{5}), InvocationMode::kWaitAll);
+        call(*this, proxy, kIncrement, encode_to_bytes(std::int64_t{5}), InvocationMode::kWaitAll);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 3u);
     for (const auto& servant : servants) EXPECT_EQ(servant->value(), 5);
 }
 
 TEST_F(ClosedWorld, RepliesComeFromEachServerIndividually) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitAll);
+    const GroupReply reply = call(*this, proxy, kGet, Bytes{}, InvocationMode::kWaitAll);
     ASSERT_TRUE(reply.complete);
     std::set<EndpointId> repliers;
     for (const auto& entry : reply.replies) repliers.insert(entry.replier);
@@ -116,12 +87,12 @@ TEST_F(ClosedWorld, RepliesComeFromEachServerIndividually) {
 }
 
 TEST_F(ClosedWorld, ServerCrashMaskedWithoutRebind) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     ASSERT_TRUE(proxy.ready());
     net.crash(orbs[1]->node_id());
-    const GroupReply reply = call(proxy, kIncrement, encode_to_bytes(std::int64_t{3}),
+    const GroupReply reply = call(*this, proxy, kIncrement, encode_to_bytes(std::int64_t{3}),
                                   InvocationMode::kWaitAll, 10_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 2u);
@@ -131,24 +102,24 @@ TEST_F(ClosedWorld, ServerCrashMaskedWithoutRebind) {
 }
 
 TEST_F(ClosedWorld, TwoServerCrashesStillAnswerWaitFirst) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     net.crash(orbs[1]->node_id());
     net.crash(orbs[2]->node_id());
     const GroupReply reply =
-        call(proxy, kGet, Bytes{}, InvocationMode::kWaitFirst, 10_s);
+        call(*this, proxy, kGet, Bytes{}, InvocationMode::kWaitFirst, 10_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_GE(reply.replies.size(), 1u);
 }
 
 TEST_F(ClosedWorld, DeadServerAtBindTimeIsWrittenOff) {
     net.crash(orbs[2]->node_id());
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(15_s);  // invite timeout writes the dead server off
     ASSERT_TRUE(proxy.ready());
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitAll, 10_s);
+    const GroupReply reply = call(*this, proxy, kGet, Bytes{}, InvocationMode::kWaitAll, 10_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 2u);
 }
@@ -158,8 +129,8 @@ TEST_F(ClosedWorld, QueuedCallsFailWhenClosedBindingDies) {
     // dropped when a rebind found no live server (the binding went kDead
     // without draining its queue), so their handlers never fired.
     for (int i = 0; i < 3; ++i) net.crash(orbs[i]->node_id());
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     bool done = false;
     GroupReply reply;
     proxy.invoke(kGet, Bytes{}, InvocationMode::kWaitAll, [&](const GroupReply& r) {
@@ -174,15 +145,15 @@ TEST_F(ClosedWorld, QueuedCallsFailWhenClosedBindingDies) {
     ASSERT_TRUE(done) << "queued call was dropped without completion";
     EXPECT_FALSE(reply.complete);
     EXPECT_FALSE(proxy.ready());
-    EXPECT_GE(nsos[c]->metrics().counter("invocation.calls_failed"), 1u);
+    EXPECT_GE(c.metrics().counter("invocation.calls_failed"), 1u);
 }
 
 TEST_F(ClosedWorld, AllServersCrashingFailsInFlightCalls) {
     // Regression: when every server left the view, reply_threshold() could
     // never be met but never signalled failure either, so in-flight calls
     // hung forever when no call timeout was configured (the default).
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     ASSERT_TRUE(proxy.ready());
     bool done = false;
@@ -196,14 +167,14 @@ TEST_F(ClosedWorld, AllServersCrashingFailsInFlightCalls) {
     run_for(30_s);  // suspicion shrinks the view to {client}
     ASSERT_TRUE(done) << "call hung after all servers crashed";
     EXPECT_FALSE(reply.complete);
-    EXPECT_GE(nsos[c]->metrics().counter("invocation.calls_failed"), 1u);
+    EXPECT_GE(c.metrics().counter("invocation.calls_failed"), 1u);
 }
 
 TEST_F(ClosedWorld, EachClientFormsItsOwnGroup) {
-    const auto c1 = add_client();
-    const auto c2 = add_client();
-    GroupProxy p1 = nsos[c1]->bind("svc", {.mode = BindMode::kClosed});
-    GroupProxy p2 = nsos[c2]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c1 = add_nso();
+    NewTopService& c2 = add_nso();
+    GroupProxy p1 = c1.bind("svc", {.mode = BindMode::kClosed});
+    GroupProxy p2 = c2.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     ASSERT_TRUE(p1.ready());
     ASSERT_TRUE(p2.ready());
@@ -224,8 +195,8 @@ TEST_F(ClosedWorld, EachClientFormsItsOwnGroup) {
 }
 
 TEST_F(ClosedWorld, OneWayExecutesEverywhereWithoutReplies) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     proxy.one_way(kIncrement, encode_to_bytes(std::int64_t{7}));
     run_for(2_s);
@@ -233,23 +204,23 @@ TEST_F(ClosedWorld, OneWayExecutesEverywhereWithoutReplies) {
 }
 
 TEST_F(ClosedWorld, UnbindLeavesTheGroupAndServersFollow) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     ASSERT_TRUE(proxy.ready());
     proxy.unbind();
     run_for(2_s);
     // The servers notice the owner left and fold the group up; subsequent
     // service traffic still works for a new client.
-    const auto c2 = add_client();
-    GroupProxy p2 = nsos[c2]->bind("svc", {.mode = BindMode::kClosed});
-    const GroupReply reply = call(p2, kGet, Bytes{}, InvocationMode::kWaitAll);
+    NewTopService& c2 = add_nso();
+    GroupProxy p2 = c2.bind("svc", {.mode = BindMode::kClosed});
+    const GroupReply reply = call(*this, p2, kGet, Bytes{}, InvocationMode::kWaitAll);
     EXPECT_TRUE(reply.complete);
 }
 
 TEST_F(ClosedWorld, ClientCrashFoldsUpItsGroupAtTheServers) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     ASSERT_TRUE(proxy.ready());
     // Put traffic through so the group's liveness machinery is armed, then
@@ -260,9 +231,9 @@ TEST_F(ClosedWorld, ClientCrashFoldsUpItsGroupAtTheServers) {
     net.crash(orbs[3]->node_id());
     run_for(10_s);
     // Servers keep answering other clients.
-    const auto c2 = add_client();
-    GroupProxy p2 = nsos[c2]->bind("svc", {.mode = BindMode::kClosed});
-    const GroupReply reply = call(p2, kGet, Bytes{}, InvocationMode::kWaitAll, 10_s);
+    NewTopService& c2 = add_nso();
+    GroupProxy p2 = c2.bind("svc", {.mode = BindMode::kClosed});
+    const GroupReply reply = call(*this, p2, kGet, Bytes{}, InvocationMode::kWaitAll, 10_s);
     EXPECT_TRUE(reply.complete);
 }
 
@@ -273,40 +244,40 @@ TEST_F(ClosedWorld, RetriedCallNumberAnsweredFromCacheWithoutReexecution) {
     // twice at a server executes once.  (The rebinding path is covered in
     // the open-mode tests; here we check cache behaviour survives closed
     // rebinds after a full group loss.)
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
     const GroupReply r1 =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{2}), InvocationMode::kWaitAll);
+        call(*this, proxy, kIncrement, encode_to_bytes(std::int64_t{2}), InvocationMode::kWaitAll);
     ASSERT_TRUE(r1.complete);
     for (const auto& servant : servants) EXPECT_EQ(servant->executions, 1);
 }
 
 TEST_F(ClosedWorld, WaitMajorityCompletesWithTwoReplies) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind("svc", {.mode = BindMode::kClosed});
     run_for(2_s);
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitMajority);
+    const GroupReply reply = call(*this, proxy, kGet, Bytes{}, InvocationMode::kWaitMajority);
     ASSERT_TRUE(reply.complete);
     EXPECT_GE(reply.replies.size(), 2u);
 }
 
 TEST_F(ClosedWorld, SymmetricOrderingWorksForClosedGroups) {
-    const auto c = add_client();
-    GroupProxy proxy = nsos[c]->bind(
+    NewTopService& c = add_nso();
+    GroupProxy proxy = c.bind(
         "svc", {.mode = BindMode::kClosed, .cs_order = OrderMode::kTotalSymmetric});
     run_for(2_s);
     ASSERT_TRUE(proxy.ready());
     const GroupReply reply =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{4}), InvocationMode::kWaitAll);
+        call(*this, proxy, kIncrement, encode_to_bytes(std::int64_t{4}), InvocationMode::kWaitAll);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 3u);
     for (const auto& servant : servants) EXPECT_EQ(servant->value(), 4);
 }
 
 TEST_F(ClosedWorld, BindToUnknownServiceThrows) {
-    const auto c = add_client();
-    EXPECT_THROW(nsos[c]->bind("nope", {.mode = BindMode::kClosed}), PreconditionError);
+    NewTopService& c = add_nso();
+    EXPECT_THROW(c.bind("nope", {.mode = BindMode::kClosed}), PreconditionError);
 }
 
 }  // namespace

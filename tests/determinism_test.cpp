@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
-#include "orb/orb.hpp"
+#include "newtop/world.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -32,17 +31,8 @@ public:
 /// returns a full history fingerprint.
 std::string run_scenario(std::uint64_t seed) {
     auto sites = calibration::make_paper_topology();
-    Scheduler scheduler;
-    Network net(scheduler, std::move(sites.topology), seed);
-    Directory directory;
-
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&](SiteId site) -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(site)));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
+    World world(std::move(sites.topology), seed);
+    Scheduler& scheduler = world.scheduler;
 
     std::ostringstream history;
 
@@ -51,31 +41,30 @@ std::string run_scenario(std::uint64_t seed) {
     cfg.order = OrderMode::kTotalAsymmetric;
     cfg.liveness = LivenessMode::kLively;
     for (int i = 0; i < 3; ++i) {
-        add(sites.newcastle).serve("svc", cfg,
-                                   std::make_shared<EchoServant>());
-        scheduler.run_until(scheduler.now() + 300_ms);
+        world.add_nso(sites.newcastle).serve("svc", cfg, std::make_shared<EchoServant>());
+        world.run_for(300_ms);
     }
-    NewTopService& client = add(sites.pisa);
+    NewTopService& client = world.add_nso(sites.pisa);
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen, .restricted = true});
 
     // A peer group alongside.
     GroupConfig peer_cfg;
     peer_cfg.order = OrderMode::kTotalSymmetric;
     peer_cfg.liveness = LivenessMode::kLively;
-    NewTopService& peer1 = add(sites.london);
-    NewTopService& peer2 = add(sites.pisa);
+    NewTopService& peer1 = world.add_nso(sites.london);
+    NewTopService& peer2 = world.add_nso(sites.pisa);
     PeerGroup room1 = peer1.join_peer_group(
         "room", peer_cfg, [&](const NewTopService::PeerMessage& m) {
             history << "p1@" << scheduler.now() << ":"
                     << std::string(m.payload.begin(), m.payload.end()) << "\n";
         });
-    scheduler.run_until(scheduler.now() + 300_ms);
+    world.run_for(300_ms);
     PeerGroup room2 = peer2.join_peer_group(
         "room", peer_cfg, [&](const NewTopService::PeerMessage& m) {
             history << "p2@" << scheduler.now() << ":"
                     << std::string(m.payload.begin(), m.payload.end()) << "\n";
         });
-    scheduler.run_until(scheduler.now() + 500_ms);
+    world.run_for(500_ms);
 
     for (int k = 0; k < 5; ++k) {
         const std::string text = "peer" + std::to_string(k);
@@ -85,19 +74,19 @@ std::string run_scenario(std::uint64_t seed) {
                          history << "call" << k << "@" << scheduler.now() << ":"
                                  << reply.replies.size() << "\n";
                      });
-        scheduler.run_until(scheduler.now() + 200_ms);
+        world.run_for(200_ms);
     }
     // Crash one server mid-run.
-    net.crash(orbs[1]->node_id());
+    world.net.crash(world.orbs[1]->node_id());
     proxy.invoke(kEcho, encode_to_bytes(std::string("post-crash")), InvocationMode::kWaitAll,
                  [&](const GroupReply& reply) {
                      history << "post@" << scheduler.now() << ":" << reply.replies.size()
                              << "\n";
                  });
-    scheduler.run_until(scheduler.now() + 10_s);
+    world.run_for(10_s);
 
-    history << "msgs=" << net.stats().messages_sent << " bytes=" << net.stats().bytes_sent
-            << " t=" << scheduler.now();
+    history << "msgs=" << world.net.stats().messages_sent
+            << " bytes=" << world.net.stats().bytes_sent << " t=" << scheduler.now();
     return history.str();
 }
 
@@ -140,13 +129,13 @@ private:
 };
 
 std::string run_orb_churn(std::uint64_t seed) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), seed);
-    Orb client(net, net.add_node(SiteId(0)));
-    std::vector<std::unique_ptr<Orb>> servers;
+    World world(calibration::make_lan_topology(), seed);
+    Scheduler& scheduler = world.scheduler;
+    Orb& client = world.add_orb();
+    std::vector<Orb*> servers;
     std::vector<Ior> targets;
     for (int s = 0; s < 3; ++s) {
-        servers.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
+        servers.push_back(&world.add_orb());
         targets.push_back(
             servers.back()->adapter().activate(std::make_shared<ChurnServant>(s), "Churn"));
     }
@@ -171,7 +160,7 @@ std::string run_orb_churn(std::uint64_t seed) {
             targets[which] = servers[which]->adapter().activate(
                 std::make_shared<ChurnServant>(which + 10), "Churn");
         }
-        if (k % 9 == 4) scheduler.run_until(scheduler.now() + 1_ms);
+        if (k % 9 == 4) world.run_for(1_ms);
     }
     for (OrbCallId id : cancellable) client.cancel(id);
 
@@ -184,8 +173,8 @@ std::string run_orb_churn(std::uint64_t seed) {
             group, kEcho, encode_to_bytes(std::string("g") + std::to_string(k)),
             [&, k](ReplyStatus s, const Bytes& p) { record(100 + k, s, p); }, 5_ms);
     }
-    scheduler.run_until(scheduler.now() + 2_s);
-    history << "msgs=" << net.stats().messages_sent << " t=" << scheduler.now();
+    world.run_for(2_s);
+    history << "msgs=" << world.net.stats().messages_sent << " t=" << scheduler.now();
     return history.str();
 }
 
@@ -208,28 +197,19 @@ TEST(Determinism, OrbChurnReproducibleAcrossHeapLayouts) {
 /// address-dependent ordering introduced by reconfiguration: the same seed
 /// must reproduce the same history bit-for-bit across heap layouts.
 std::string run_reconfig_burst(std::uint64_t seed) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), seed);
-    Directory directory;
-
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&]() -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
+    World world(calibration::make_lan_topology(), seed);
+    Scheduler& scheduler = world.scheduler;
 
     GroupConfig cfg;
     cfg.order = OrderMode::kTotalSymmetric;
     cfg.liveness = LivenessMode::kLively;
     for (int i = 0; i < 3; ++i) {
-        add().serve("svc", cfg, std::make_shared<EchoServant>());
-        scheduler.run_until(scheduler.now() + 300_ms);
+        world.add_nso().serve("svc", cfg, std::make_shared<EchoServant>());
+        world.run_for(300_ms);
     }
-    NewTopService& client = add();
+    NewTopService& client = world.add_nso();
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen});
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
     std::ostringstream history;
     for (int k = 0; k < 10; ++k) {
@@ -240,22 +220,22 @@ std::string run_reconfig_burst(std::uint64_t seed) {
                      });
         if (k == 4) {
             // Mid-burst: a member proposes the switch to the sequencer.
-            const auto* info = directory.find_group("svc");
+            const auto* info = world.directory.find_group("svc");
             GroupConfig next = cfg;
             next.order = OrderMode::kTotalAsymmetric;
-            nsos[0]->reconfigure(info->id, next);
+            world.nsos[0]->reconfigure(info->id, next);
         }
-        scheduler.run_until(scheduler.now() + 150_ms);
+        world.run_for(150_ms);
     }
-    scheduler.run_until(scheduler.now() + 10_s);
+    world.run_for(10_s);
 
-    const auto* info = directory.find_group("svc");
+    const auto* info = world.directory.find_group("svc");
     for (int i = 0; i < 3; ++i) {
-        history << "epoch" << i << "=" << nsos[static_cast<std::size_t>(i)]->config_epoch(info->id)
-                << "\n";
+        history << "epoch" << i << "="
+                << world.nsos[static_cast<std::size_t>(i)]->config_epoch(info->id) << "\n";
     }
-    history << "msgs=" << net.stats().messages_sent << " bytes=" << net.stats().bytes_sent
-            << " t=" << scheduler.now();
+    history << "msgs=" << world.net.stats().messages_sent
+            << " bytes=" << world.net.stats().bytes_sent << " t=" << scheduler.now();
     return history.str();
 }
 
@@ -272,20 +252,8 @@ TEST(Determinism, ReconfigMidBurstReproducibleAcrossHeapLayouts) {
 
 // -- public API edges -----------------------------------------------------------------
 
-struct ApiEdges : ::testing::Test {
-    ApiEdges() : net(scheduler, calibration::make_lan_topology(), 3) {}
-
-    NewTopService& add() {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    }
-
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
+struct ApiEdges : ::testing::Test, World {
+    ApiEdges() : World(calibration::make_lan_topology(), 3) {}
 };
 
 TEST_F(ApiEdges, EmptyProxyRejectsCalls) {
@@ -298,51 +266,51 @@ TEST_F(ApiEdges, EmptyProxyRejectsCalls) {
 }
 
 TEST_F(ApiEdges, TwoWayInvokeRequiresHandler) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
-    NewTopService& client = add();
+    NewTopService& client = add_nso();
     GroupProxy proxy = client.bind("svc", {});
     EXPECT_THROW(proxy.invoke(1, {}, InvocationMode::kWaitAll, nullptr), PreconditionError);
 }
 
 TEST_F(ApiEdges, ServeTwiceRejected) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
     EXPECT_THROW(server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>()),
                  PreconditionError);
 }
 
 TEST_F(ApiEdges, ServeNullServantRejected) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     EXPECT_THROW(server.serve("svc", GroupConfig{}, nullptr), PreconditionError);
 }
 
 TEST_F(ApiEdges, AsyncForwardingRequiresRestricted) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
-    NewTopService& client = add();
+    NewTopService& client = add_nso();
     EXPECT_THROW(client.bind("svc", {.restricted = false, .async_forwarding = true}),
                  PreconditionError);
 }
 
 TEST_F(ApiEdges, BindGroupRequiresMembership) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
-    NewTopService& outsider = add();
+    NewTopService& outsider = add_nso();
     EXPECT_THROW(outsider.bind_group(GroupId(999), "svc"), PreconditionError);
 }
 
 TEST_F(ApiEdges, PeerGroupRequiresHandler) {
-    NewTopService& peer = add();
+    NewTopService& peer = add_nso();
     EXPECT_THROW(peer.join_peer_group("room", GroupConfig{}, nullptr), PreconditionError);
 }
 
 TEST_F(ApiEdges, UnbindIsIdempotentAndStopsFurtherCalls) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
-    NewTopService& client = add();
+    NewTopService& client = add_nso();
     GroupProxy proxy = client.bind("svc", {});
-    scheduler.run_until(scheduler.now() + 2'000'000);
+    run_for(2'000'000);
     ASSERT_TRUE(proxy.ready());
     proxy.unbind();
     proxy.unbind();  // harmless
@@ -350,9 +318,9 @@ TEST_F(ApiEdges, UnbindIsIdempotentAndStopsFurtherCalls) {
 }
 
 TEST_F(ApiEdges, InvokeAfterAllServersGoneCompletesIncomplete) {
-    NewTopService& server = add();
+    NewTopService& server = add_nso();
     server.serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
-    NewTopService& client = add();
+    NewTopService& client = add_nso();
     GroupProxy proxy = client.bind("svc", {.call_timeout = 500'000});
     net.crash(orbs[0]->node_id());
     bool done = false;
@@ -361,7 +329,7 @@ TEST_F(ApiEdges, InvokeAfterAllServersGoneCompletesIncomplete) {
         result = reply;
         done = true;
     });
-    scheduler.run_until(scheduler.now() + 30'000'000);
+    run_for(30'000'000);
     ASSERT_TRUE(done);
     EXPECT_FALSE(result.complete);
 }

@@ -1,6 +1,7 @@
-// Shared GCS test fixture: a simulated world of group-communication
-// endpoints that records every endpoint's deliveries and oracle-checks the
-// whole trace (trace_oracle.hpp), plus the payload helpers its tests use.
+// Shared test fixtures on World (src/newtop/world.hpp): a world of
+// group-communication endpoints that records every endpoint's deliveries and
+// oracle-checks the whole trace (trace_oracle.hpp), the payload helpers its
+// tests use, and call() for invocation tests.
 #pragma once
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "gcs/endpoint.hpp"
+#include "newtop/world.hpp"
 #include "trace_oracle.hpp"
 
 namespace newtop::test {
@@ -39,14 +41,11 @@ inline GroupConfig lively(OrderMode order) {
     return cfg;
 }
 
-struct EndpointWorld {
-    EndpointWorld(Topology topology, std::uint64_t seed)
-        : net(scheduler, std::move(topology), seed) {}
+struct EndpointWorld : World {
+    using World::World;
 
     std::size_t add_endpoint(SiteId site = SiteId(0)) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        auto ep = std::make_unique<GroupCommEndpoint>(*orbs.back(), directory);
+        auto ep = std::make_unique<GroupCommEndpoint>(add_orb(site), directory);
         const std::size_t index = endpoints.size();
         delivered.emplace_back();
         ep->set_deliver_handler([this, index](const GroupCommEndpoint::Delivery& d) {
@@ -75,15 +74,25 @@ struct EndpointWorld {
 
     GroupCommEndpoint& ep(std::size_t i) { return *endpoints[i]; }
     NodeId node_of(std::size_t i) { return orbs[i]->node_id(); }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
 
-    Scheduler scheduler;
-    Network net;
     OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
     std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
     std::vector<std::vector<std::string>> delivered;
 };
+
+/// Runs one invocation to completion within `budget` of simulated time
+/// (5 s by default).
+inline GroupReply call(World& world, GroupProxy& proxy, std::uint32_t method, Bytes args,
+                       InvocationMode mode, SimDuration budget = 5'000'000) {
+    GroupReply out;
+    bool done = false;
+    proxy.invoke(method, std::move(args), mode, [&](const GroupReply& r) {
+        out = r;
+        done = true;
+    });
+    world.run_for(budget);
+    EXPECT_TRUE(done) << "call did not complete";
+    return out;
+}
 
 }  // namespace newtop::test

@@ -22,7 +22,7 @@ using test::payload_of;
 std::string to_string(const Bytes& b) { return std::string(b.begin(), b.end()); }
 
 /// A small simulated world of endpoints for GCS integration tests.
-struct GcsWorld {
+struct GcsWorld : World {
     struct Logged {
         GroupId group;
         EndpointId sender;
@@ -30,12 +30,10 @@ struct GcsWorld {
     };
 
     explicit GcsWorld(Topology topology, std::uint64_t seed = 7)
-        : net(scheduler, std::move(topology), seed) {}
+        : World(std::move(topology), seed) {}
 
     std::size_t add_endpoint(SiteId site) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        auto ep = std::make_unique<GroupCommEndpoint>(*orbs.back(), directory);
+        auto ep = std::make_unique<GroupCommEndpoint>(add_orb(site), directory);
         const std::size_t index = endpoints.size();
         delivered.emplace_back();
         views.emplace_back();
@@ -53,8 +51,6 @@ struct GcsWorld {
 
     GroupCommEndpoint& ep(std::size_t i) { return *endpoints[i]; }
 
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
     /// Payload strings delivered at endpoint i for a group, in order.
     std::vector<std::string> log_of(std::size_t i, GroupId g) const {
         std::vector<std::string> out;
@@ -64,11 +60,7 @@ struct GcsWorld {
         return out;
     }
 
-    Scheduler scheduler;
-    Network net;
     test::OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
     std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
     std::vector<std::vector<Logged>> delivered;
     std::vector<std::vector<View>> views;

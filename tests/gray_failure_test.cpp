@@ -10,7 +10,7 @@
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
 #include "net/network.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -152,21 +152,19 @@ TEST_F(GrayNet, FlapScheduleTogglesAndEndsConnected) {
 // -- the φ-accrual detector under gray conditions ------------------------------
 
 /// A small GCS world with a trace sink, for detector observations.
-struct DetectorWorld {
+struct DetectorWorld : World {
     explicit DetectorWorld(std::uint64_t seed = 7)
-        : net(scheduler, calibration::make_lan_topology(), seed) {
+        : World(calibration::make_lan_topology(), seed) {
         net.metrics().set_trace_sink(&sink);
     }
 
     std::size_t add() {
-        nodes.push_back(net.add_node(SiteId(0)));
-        orbs.push_back(std::make_unique<Orb>(net, nodes.back()));
-        endpoints.push_back(std::make_unique<GroupCommEndpoint>(*orbs.back(), directory));
+        endpoints.push_back(std::make_unique<GroupCommEndpoint>(add_orb(), directory));
         return endpoints.size() - 1;
     }
 
     GroupCommEndpoint& ep(std::size_t i) { return *endpoints[i]; }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
+    NodeId node_of(std::size_t i) { return orbs[i]->node_id(); }
 
     [[nodiscard]] std::size_t suspicions_of(EndpointId suspect) const {
         std::size_t n = 0;
@@ -176,12 +174,7 @@ struct DetectorWorld {
         return n;
     }
 
-    Scheduler scheduler;
-    Network net;
     obs::VectorTraceSink sink;
-    Directory directory;
-    std::vector<NodeId> nodes;
-    std::vector<std::unique_ptr<Orb>> orbs;
     std::vector<std::unique_ptr<GroupCommEndpoint>> endpoints;
 };
 
@@ -207,13 +200,13 @@ std::size_t slow_member_suspicions(std::uint64_t phi_threshold_milli, bool* c_in
     world.ep(c).join_group("g");
     world.run_for(1_s);
 
-    world.net.set_cpu_slowdown(world.nodes[c], 2.0);
+    world.net.set_cpu_slowdown(world.node_of(c), 2.0);
     const SimTime base = world.scheduler.now();
     for (int k = 0; k < 11; ++k) {
         const SimDuration nominal = 40_ms + static_cast<SimDuration>(k) * 20_ms;
         world.scheduler.schedule_at(base + static_cast<SimTime>(k) * 600_ms, [&world, c,
                                                                               nominal] {
-            world.net.node(world.nodes[c]).cpu().execute(nominal, [] {});
+            world.net.node(world.node_of(c)).cpu().execute(nominal, [] {});
         });
     }
     world.run_for(11 * 600_ms + 2_s);
@@ -250,7 +243,7 @@ SimDuration crash_detection_latency(std::uint64_t phi_threshold_milli) {
     world.run_for(2500_ms);
 
     const SimTime crash_at = world.scheduler.now();
-    world.net.crash(world.nodes[c]);
+    world.net.crash(world.node_of(c));
     world.run_for(3_s);
 
     for (const obs::TraceEvent& e : world.sink.events()) {
@@ -296,35 +289,26 @@ public:
 };
 
 TEST(GrayShedding, ExpiredCallsAreShedOnASlowedServer) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), 3);
-    Directory directory;
+    World world(calibration::make_lan_topology(), 3);
+    Network& net = world.net;
     obs::VectorTraceSink sink;
     net.metrics().set_trace_sink(&sink);
 
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&]() -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
-
-    NewTopService& server = add();
+    NewTopService& server = world.add_nso();
     server.serve("svc", GroupConfig{.order = OrderMode::kTotalAsymmetric},
                  std::make_shared<CostlyServant>());
-    scheduler.run_until(scheduler.now() + 1_s);
-    NewTopService& client = add();
+    world.run_for(1_s);
+    NewTopService& client = world.add_nso();
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen, .call_timeout = 500_ms});
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
     // 50x slowdown turns the 100ms servant cost into 5s — far past the
     // client's 500ms deadline, so the execution-time shed gate fires.
-    net.set_cpu_slowdown(orbs[0]->node_id(), 50.0);
+    net.set_cpu_slowdown(server.orb().node_id(), 50.0);
     bool completed = true;
     proxy.invoke(1, Bytes{}, InvocationMode::kWaitFirst,
                  [&](const GroupReply& reply) { completed = reply.complete; });
-    scheduler.run_until(scheduler.now() + 10_s);
+    world.run_for(10_s);
 
     EXPECT_FALSE(completed);  // the client gave up at its call_timeout
     EXPECT_GE(net.metrics().counter(obs::metric::kInvShed), 1u);
@@ -337,28 +321,20 @@ TEST(GrayShedding, ExpiredCallsAreShedOnASlowedServer) {
 /// directory, then sample the invocation.backoffs counter every 10ms and
 /// return the sim time of each backoff round.
 std::vector<SimTime> backoff_round_times(std::uint64_t seed) {
-    Scheduler scheduler;
-    Network net(scheduler, calibration::make_lan_topology(), seed);
-    Directory directory;
+    World world(calibration::make_lan_topology(), seed);
+    Scheduler& scheduler = world.scheduler;
+    Network& net = world.net;
 
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
-    auto add = [&]() -> NewTopService& {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return *nsos.back();
-    };
-
-    NewTopService& server = add();
+    NewTopService& server = world.add_nso();
     server.serve("svc", GroupConfig{.order = OrderMode::kTotalAsymmetric},
                  std::make_shared<CostlyServant>());
-    scheduler.run_until(scheduler.now() + 1_s);
-    NewTopService& client = add();
+    world.run_for(1_s);
+    NewTopService& client = world.add_nso();
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen, .call_timeout = 500_ms});
-    scheduler.run_until(scheduler.now() + 2_s);
+    world.run_for(2_s);
 
-    net.crash(orbs[0]->node_id());
-    directory.evict_endpoint(server.id());
+    net.crash(server.orb().node_id());
+    world.directory.evict_endpoint(server.id());
     // One failing call kicks the binding into the rebind path; with every
     // candidate defunct it then backs off autonomously.
     proxy.invoke(1, Bytes{}, InvocationMode::kWaitFirst, [](const GroupReply&) {});

@@ -5,15 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
-#include "trace_oracle.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
 namespace {
 
 using namespace sim_literals;
+using test::call;
 
 constexpr std::uint32_t kGet = 1;
 constexpr std::uint32_t kIncrement = 2;
@@ -48,40 +48,24 @@ private:
     std::int64_t value_{0};
 };
 
-struct InvWorld {
-    explicit InvWorld(Topology topology, std::uint64_t seed = 11)
-        : net(scheduler, std::move(topology), seed) {}
-
-    std::size_t add_nso(SiteId site) {
-        const NodeId node = net.add_node(site);
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return nsos.size() - 1;
-    }
-
-    NewTopService& nso(std::size_t i) { return *nsos[i]; }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    Scheduler scheduler;
-    Network net;
+/// The LAN world every invocation test runs in, oracle-checked.
+struct InvWorld : World {
+    InvWorld() : World(calibration::make_lan_topology(), 11) {}
     test::OracleScope oracle{net.metrics()};
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
 };
 
 /// Standard scenario: three servers on a LAN plus clients.
 struct ThreeServerLan : ::testing::Test {
-    ThreeServerLan() : world(calibration::make_lan_topology()) {
+    ThreeServerLan() {
         for (int i = 0; i < 3; ++i) {
-            const auto idx = world.add_nso(SiteId(0));
+            NewTopService& server = world.add_nso();
             auto servant = std::make_shared<CounterServant>("s" + std::to_string(i));
             servants.push_back(servant);
-            world.nso(idx).serve("svc", server_config(), servant);
+            server.serve("svc", server_config(), servant);
             world.run_for(200_ms);
-            servers.push_back(idx);
+            servers.push_back(&server);
         }
-        client = world.add_nso(SiteId(0));
+        client = &world.add_nso();
     }
 
     static GroupConfig server_config() {
@@ -90,24 +74,10 @@ struct ThreeServerLan : ::testing::Test {
         return cfg;
     }
 
-    /// Run a synchronous-style invocation to completion.
-    GroupReply call(GroupProxy& proxy, std::uint32_t method, Bytes args, InvocationMode mode,
-                    SimDuration budget = 3_s) {
-        GroupReply out;
-        bool done = false;
-        proxy.invoke(method, std::move(args), mode, [&](const GroupReply& r) {
-            out = r;
-            done = true;
-        });
-        world.run_for(budget);
-        EXPECT_TRUE(done) << "call did not complete";
-        return out;
-    }
-
     InvWorld world;
-    std::vector<std::size_t> servers;
+    std::vector<NewTopService*> servers;
     std::vector<std::shared_ptr<CounterServant>> servants;
-    std::size_t client{};
+    NewTopService* client{};
 };
 
 // -- open groups ---------------------------------------------------------------------
@@ -125,19 +95,19 @@ TEST_F(ThreeServerLan, NewBindingInheritsReconfiguredServerPolicies) {
     next.order = OrderMode::kTotalSymmetric;
     next.liveness = LivenessMode::kLively;
     next.order_window = 5;
-    world.nso(servers[0]).reconfigure(svc_info->id, next);
+    servers[0]->reconfigure(svc_info->id, next);
     world.run_for(5_s);
-    ASSERT_EQ(world.nso(servers[0]).config_epoch(svc_info->id), 1u);
+    ASSERT_EQ(servers[0]->config_epoch(svc_info->id), 1u);
 
-    const std::size_t late = world.add_nso(SiteId(0));
-    GroupProxy proxy = world.nso(late).bind(
+    NewTopService& late = world.add_nso();
+    GroupProxy proxy = late.bind(
         "svc", {.mode = BindMode::kOpen, .cs_order = OrderMode::kTotalAsymmetric});
     world.run_for(2_s);
     ASSERT_TRUE(proxy.ready());
 
     // First binding of a fresh client: id 1, attempt 1.
     const std::string cs_name =
-        "cs:" + std::to_string(world.nso(late).id().value()) + ":1:1";
+        "cs:" + std::to_string(late.id().value()) + ":1:1";
     const auto* cs_info = world.directory.find_group(cs_name);
     ASSERT_NE(cs_info, nullptr) << "client/server group not registered as " << cs_name;
     EXPECT_EQ(cs_info->config.order_window, 5u) << "switched window did not carry over";
@@ -147,15 +117,15 @@ TEST_F(ThreeServerLan, NewBindingInheritsReconfiguredServerPolicies) {
         << "cs groups must never adapt on their own";
 
     // The new binding works against the reconfigured server group.
-    const GroupReply reply = call(proxy, kIncrement, encode_to_bytes(std::int64_t{2}),
-                                  InvocationMode::kWaitAll);
+    const GroupReply reply = call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{2}),
+                                  InvocationMode::kWaitAll, 3_s);
     EXPECT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 3u);
 }
 
 TEST_F(ThreeServerLan, OpenWaitFirstReturnsOneReply) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitFirst);
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
+    const GroupReply reply = call(world, proxy, kGet, Bytes{}, InvocationMode::kWaitFirst, 3_s);
     ASSERT_TRUE(reply.complete);
     ASSERT_GE(reply.replies.size(), 1u);
     EXPECT_TRUE(reply.replies[0].ok);
@@ -163,30 +133,31 @@ TEST_F(ThreeServerLan, OpenWaitFirstReturnsOneReply) {
 }
 
 TEST_F(ThreeServerLan, OpenWaitAllGathersEveryMember) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitAll);
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
+    const GroupReply reply = call(world, proxy, kGet, Bytes{}, InvocationMode::kWaitAll, 3_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 3u);
 }
 
 TEST_F(ThreeServerLan, OpenWaitMajorityNeedsTwoOfThree) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
-    const GroupReply reply = call(proxy, kGet, Bytes{}, InvocationMode::kWaitMajority);
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
+    const GroupReply reply = call(world, proxy, kGet, Bytes{}, InvocationMode::kWaitMajority, 3_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_GE(reply.replies.size(), 2u);
 }
 
 TEST_F(ThreeServerLan, OpenOneWayExecutesEverywhereWithoutReplies) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
     proxy.one_way(kIncrement, encode_to_bytes(std::int64_t{5}));
     world.run_for(2_s);
     for (const auto& servant : servants) EXPECT_EQ(servant->value(), 5);
 }
 
 TEST_F(ThreeServerLan, ActiveReplicationExecutesOnAllReplicas) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
     const GroupReply reply =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{7}), InvocationMode::kWaitAll);
+        call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{7}),
+             InvocationMode::kWaitAll, 3_s);
     ASSERT_TRUE(reply.complete);
     for (const auto& entry : reply.replies) {
         EXPECT_TRUE(entry.ok);
@@ -199,8 +170,8 @@ TEST_F(ThreeServerLan, ActiveReplicationExecutesOnAllReplicas) {
 }
 
 TEST_F(ThreeServerLan, ServantExceptionReportedPerReplica) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
-    const GroupReply reply = call(proxy, kFail, Bytes{}, InvocationMode::kWaitAll);
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
+    const GroupReply reply = call(world, proxy, kFail, Bytes{}, InvocationMode::kWaitAll, 3_s);
     ASSERT_TRUE(reply.complete);
     ASSERT_EQ(reply.replies.size(), 3u);
     for (const auto& entry : reply.replies) {
@@ -211,22 +182,22 @@ TEST_F(ThreeServerLan, ServantExceptionReportedPerReplica) {
 }
 
 TEST_F(ThreeServerLan, RestrictedBindingPicksTheLeader) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen,
-                                                      .restricted = true});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen, .restricted = true});
     world.run_for(500_ms);
     ASSERT_TRUE(proxy.ready());
-    EXPECT_EQ(proxy.manager(), world.nso(servers[0]).id());
+    EXPECT_EQ(proxy.manager(), servers[0]->id());
 }
 
 TEST_F(ThreeServerLan, AsyncForwardingAnswersFromTheManager) {
-    GroupProxy proxy = world.nso(client).bind(
+    GroupProxy proxy = client->bind(
         "svc",
         {.mode = BindMode::kOpen, .restricted = true, .async_forwarding = true});
     const GroupReply reply =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{3}), InvocationMode::kWaitFirst);
+        call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{3}),
+             InvocationMode::kWaitFirst, 3_s);
     ASSERT_TRUE(reply.complete);
     ASSERT_EQ(reply.replies.size(), 1u);
-    EXPECT_EQ(reply.replies[0].replier, world.nso(servers[0]).id());
+    EXPECT_EQ(reply.replies[0].replier, servers[0]->id());
     world.run_for(2_s);
     // The one-way forward still updated every replica exactly once.
     for (const auto& servant : servants) {
@@ -236,21 +207,22 @@ TEST_F(ThreeServerLan, AsyncForwardingAnswersFromTheManager) {
 }
 
 TEST_F(ThreeServerLan, SequentialCallsKeepReplicasConsistent) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen});
     std::int64_t expected = 0;
     for (int k = 1; k <= 5; ++k) {
         expected += k;
         const GroupReply reply =
-            call(proxy, kIncrement, encode_to_bytes(std::int64_t{k}), InvocationMode::kWaitAll);
+            call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{k}),
+                 InvocationMode::kWaitAll, 3_s);
         ASSERT_TRUE(reply.complete);
     }
     for (const auto& servant : servants) EXPECT_EQ(servant->value(), expected);
 }
 
 TEST_F(ThreeServerLan, TwoClientsInterleavedStayConsistent) {
-    const auto client2 = world.add_nso(SiteId(0));
-    GroupProxy p1 = world.nso(client).bind("svc", {.mode = BindMode::kOpen});
-    GroupProxy p2 = world.nso(client2).bind("svc", {.mode = BindMode::kOpen});
+    NewTopService& client2 = world.add_nso();
+    GroupProxy p1 = client->bind("svc", {.mode = BindMode::kOpen});
+    GroupProxy p2 = client2.bind("svc", {.mode = BindMode::kOpen});
     int completions = 0;
     for (int k = 0; k < 10; ++k) {
         p1.invoke(kIncrement, encode_to_bytes(std::int64_t{1}), InvocationMode::kWaitAll,
@@ -269,7 +241,7 @@ TEST_F(ThreeServerLan, TwoClientsInterleavedStayConsistent) {
 TEST_F(ThreeServerLan, OpenLanLatencyMatchesPaperAnchor) {
     // §5.1.1: a call through the NewTop service on a LAN takes ~2.5 ms
     // (about 2.5x a plain CORBA call).
-    GroupProxy proxy = world.nso(client).bind(
+    GroupProxy proxy = client->bind(
         "svc", {.mode = BindMode::kOpen, .restricted = true, .async_forwarding = true});
     world.run_for(500_ms);
     ASSERT_TRUE(proxy.ready());
@@ -287,15 +259,14 @@ TEST_F(ThreeServerLan, OpenLanLatencyMatchesPaperAnchor) {
 // -- rebinding / fault tolerance -----------------------------------------------------
 
 TEST_F(ThreeServerLan, ManagerCrashTriggersRebindAndCallCompletes) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen,
-                                                      .restricted = true});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen, .restricted = true});
     world.run_for(500_ms);
     ASSERT_TRUE(proxy.ready());
     const EndpointId first_manager = *proxy.manager();
 
     // Crash the manager, then call: suspicion ejects it from the
     // client/server group, the smart proxy rebinds, the retry completes.
-    world.net.crash(world.orbs[servers[0]]->node_id());
+    world.net.crash(servers[0]->orb().node_id());
     GroupReply reply;
     bool done = false;
     proxy.invoke(kIncrement, encode_to_bytes(std::int64_t{4}), InvocationMode::kWaitAll,
@@ -315,16 +286,16 @@ TEST_F(ThreeServerLan, ManagerCrashTriggersRebindAndCallCompletes) {
 }
 
 TEST_F(ThreeServerLan, RetryAfterManagerCrashDoesNotReexecute) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kOpen,
-                                                      .restricted = true});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen, .restricted = true});
     world.run_for(500_ms);
     // Let one call fully complete, then crash the manager mid-next-call.
     const GroupReply first =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{1}), InvocationMode::kWaitAll);
+        call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{1}),
+             InvocationMode::kWaitAll, 3_s);
     ASSERT_TRUE(first.complete);
-    world.net.crash(world.orbs[servers[0]]->node_id());
-    const GroupReply second = call(
-        proxy, kIncrement, encode_to_bytes(std::int64_t{1}), InvocationMode::kWaitAll, 10_s);
+    world.net.crash(servers[0]->orb().node_id());
+    const GroupReply second = call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{1}),
+                                   InvocationMode::kWaitAll, 10_s);
     ASSERT_TRUE(second.complete);
     EXPECT_EQ(servants[1]->value(), 2);
     EXPECT_EQ(servants[1]->executions, 2);
@@ -335,8 +306,8 @@ TEST_F(ThreeServerLan, NonRestrictedClientsSpreadAcrossManagers) {
     std::map<EndpointId, int> managers;
     std::vector<GroupProxy> proxies;
     for (int i = 0; i < 6; ++i) {
-        const auto c = world.add_nso(SiteId(0));
-        proxies.push_back(world.nso(c).bind("svc", {.mode = BindMode::kOpen}));
+        NewTopService& c = world.add_nso();
+        proxies.push_back(c.bind("svc", {.mode = BindMode::kOpen}));
     }
     world.run_for(1_s);
     for (auto& proxy : proxies) {
@@ -349,34 +320,36 @@ TEST_F(ThreeServerLan, NonRestrictedClientsSpreadAcrossManagers) {
 // -- closed groups --------------------------------------------------------------------
 
 TEST_F(ThreeServerLan, ClosedWaitAllGathersDirectReplies) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kClosed});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kClosed});
     world.run_for(500_ms);
     ASSERT_TRUE(proxy.ready());
     const GroupReply reply =
-        call(proxy, kIncrement, encode_to_bytes(std::int64_t{2}), InvocationMode::kWaitAll);
+        call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{2}),
+             InvocationMode::kWaitAll, 3_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 3u);
     for (const auto& servant : servants) EXPECT_EQ(servant->value(), 2);
 }
 
 TEST_F(ThreeServerLan, ClosedWaitFirstAndMajority) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kClosed});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kClosed});
     world.run_for(500_ms);
-    const GroupReply first = call(proxy, kGet, Bytes{}, InvocationMode::kWaitFirst);
+    const GroupReply first = call(world, proxy, kGet, Bytes{}, InvocationMode::kWaitFirst, 3_s);
     ASSERT_TRUE(first.complete);
     EXPECT_GE(first.replies.size(), 1u);
-    const GroupReply majority = call(proxy, kGet, Bytes{}, InvocationMode::kWaitMajority);
+    const GroupReply majority = call(world, proxy, kGet, Bytes{},
+                                     InvocationMode::kWaitMajority, 3_s);
     ASSERT_TRUE(majority.complete);
     EXPECT_GE(majority.replies.size(), 2u);
 }
 
 TEST_F(ThreeServerLan, ClosedServerCrashIsMaskedWithoutRebinding) {
-    GroupProxy proxy = world.nso(client).bind("svc", {.mode = BindMode::kClosed});
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kClosed});
     world.run_for(500_ms);
     ASSERT_TRUE(proxy.ready());
-    world.net.crash(world.orbs[servers[2]]->node_id());
+    world.net.crash(servers[2]->orb().node_id());
     // wait-for-all adapts to the surviving membership; no rebind needed.
-    const GroupReply reply = call(proxy, kIncrement, encode_to_bytes(std::int64_t{9}),
+    const GroupReply reply = call(world, proxy, kIncrement, encode_to_bytes(std::int64_t{9}),
                                   InvocationMode::kWaitAll, 10_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 2u);
@@ -386,9 +359,9 @@ TEST_F(ThreeServerLan, ClosedServerCrashIsMaskedWithoutRebinding) {
 }
 
 TEST_F(ThreeServerLan, ClosedClientsShareTotalOrder) {
-    const auto client2 = world.add_nso(SiteId(0));
-    GroupProxy p1 = world.nso(client).bind("svc", {.mode = BindMode::kClosed});
-    GroupProxy p2 = world.nso(client2).bind("svc", {.mode = BindMode::kClosed});
+    NewTopService& client2 = world.add_nso();
+    GroupProxy p1 = client->bind("svc", {.mode = BindMode::kClosed});
+    GroupProxy p2 = client2.bind("svc", {.mode = BindMode::kClosed});
     world.run_for(500_ms);
     int completions = 0;
     for (int k = 0; k < 8; ++k) {
@@ -409,9 +382,8 @@ TEST_F(ThreeServerLan, ClosedClientsShareTotalOrder) {
 
 TEST_F(ThreeServerLan, CallTimeoutDeliversIncompleteReply) {
     // Crash all servers; a timed call must fail cleanly.
-    for (const auto s : servers) world.net.crash(world.orbs[s]->node_id());
-    GroupProxy proxy = world.nso(client).bind(
-        "svc", {.mode = BindMode::kOpen, .call_timeout = 500_ms});
+    for (const auto s : servers) world.net.crash(s->orb().node_id());
+    GroupProxy proxy = client->bind("svc", {.mode = BindMode::kOpen, .call_timeout = 500_ms});
     GroupReply reply;
     bool done = false;
     proxy.invoke(kGet, Bytes{}, InvocationMode::kWaitAll, [&](const GroupReply& r) {
@@ -426,19 +398,19 @@ TEST_F(ThreeServerLan, CallTimeoutDeliversIncompleteReply) {
 // -- group-to-group (§4.3) --------------------------------------------------------------
 
 TEST_F(ThreeServerLan, GroupToGroupDeliversRepliesToAllClientMembers) {
-    const auto cx1 = world.add_nso(SiteId(0));
-    const auto cx2 = world.add_nso(SiteId(0));
+    NewTopService& cx1 = world.add_nso();
+    NewTopService& cx2 = world.add_nso();
 
     // Build the client group gx = {cx1, cx2}.
     GroupConfig gx_cfg;
     gx_cfg.order = OrderMode::kTotalSymmetric;
-    const GroupId gx = world.nso(cx1).group_comm().create_group("gx", gx_cfg);
-    world.nso(cx2).group_comm().join_group("gx");
+    const GroupId gx = cx1.group_comm().create_group("gx", gx_cfg);
+    cx2.group_comm().join_group("gx");
     world.run_for(300_ms);
-    ASSERT_TRUE(world.nso(cx2).group_comm().is_member(gx));
+    ASSERT_TRUE(cx2.group_comm().is_member(gx));
 
-    GroupProxy px1 = world.nso(cx1).bind_group(gx, "svc");
-    GroupProxy px2 = world.nso(cx2).bind_group(gx, "svc");
+    GroupProxy px1 = cx1.bind_group(gx, "svc");
+    GroupProxy px2 = cx2.bind_group(gx, "svc");
     world.run_for(1_s);
     ASSERT_TRUE(px1.ready());
     ASSERT_TRUE(px2.ready());
@@ -472,23 +444,19 @@ TEST_F(ThreeServerLan, GroupToGroupDeliversRepliesToAllClientMembers) {
 // -- peer participation -----------------------------------------------------------------
 
 TEST(PeerParticipation, AllMembersSeeAllMessagesInAgreedOrder) {
-    InvWorld world(calibration::make_lan_topology());
+    InvWorld world;
     GroupConfig cfg;
     cfg.order = OrderMode::kTotalSymmetric;
     cfg.liveness = LivenessMode::kLively;
 
-    std::vector<std::size_t> members;
     std::vector<std::vector<std::string>> logs(3);
     std::vector<PeerGroup> handles;
     for (int i = 0; i < 3; ++i) {
-        members.push_back(world.add_nso(SiteId(0)));
-        handles.push_back(world.nso(members.back())
-                              .join_peer_group("room", cfg,
-                                               [&logs, i](const NewTopService::PeerMessage& m) {
-                                                   logs[static_cast<std::size_t>(i)].push_back(
-                                                       std::string(m.payload.begin(),
-                                                                   m.payload.end()));
-                                               }));
+        handles.push_back(world.add_nso().join_peer_group(
+            "room", cfg, [&logs, i](const NewTopService::PeerMessage& m) {
+                logs[static_cast<std::size_t>(i)].push_back(
+                    std::string(m.payload.begin(), m.payload.end()));
+            }));
         world.run_for(300_ms);
     }
     for (auto& handle : handles) ASSERT_TRUE(handle.joined());
@@ -506,16 +474,16 @@ TEST(PeerParticipation, AllMembersSeeAllMessagesInAgreedOrder) {
 }
 
 TEST(PeerParticipation, ViewHandlerSeesMembershipGrow) {
-    InvWorld world(calibration::make_lan_topology());
+    InvWorld world;
     GroupConfig cfg;
     cfg.liveness = LivenessMode::kLively;
     std::vector<std::size_t> view_sizes;
-    const auto a = world.add_nso(SiteId(0));
-    world.nso(a).join_peer_group(
+    NewTopService& a = world.add_nso();
+    a.join_peer_group(
         "room", cfg, [](const NewTopService::PeerMessage&) {},
         [&](const View& v) { view_sizes.push_back(v.members.size()); });
-    const auto b = world.add_nso(SiteId(0));
-    world.nso(b).join_peer_group("room", cfg, [](const NewTopService::PeerMessage&) {});
+    NewTopService& b = world.add_nso();
+    b.join_peer_group("room", cfg, [](const NewTopService::PeerMessage&) {});
     world.run_for(500_ms);
     ASSERT_FALSE(view_sizes.empty());
     EXPECT_EQ(view_sizes.back(), 2u);

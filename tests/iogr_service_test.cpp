@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -30,26 +30,16 @@ private:
     std::string tag_;
 };
 
-struct IogrServiceFixture : ::testing::Test {
-    IogrServiceFixture() : net(scheduler, calibration::make_lan_topology(), 5) {
+struct IogrServiceFixture : ::testing::Test, World {
+    IogrServiceFixture() : World(calibration::make_lan_topology(), 5) {
         for (int i = 0; i < 3; ++i) {
-            orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-            nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-            nsos.back()->serve("svc", GroupConfig{},
-                               std::make_shared<TaggedServant>("replica" + std::to_string(i)));
-            scheduler.run_until(scheduler.now() + 300_ms);
+            add_nso().serve("svc", GroupConfig{},
+                            std::make_shared<TaggedServant>("replica" + std::to_string(i)));
+            run_for(300_ms);
         }
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        client_orb = orbs.back().get();
+        client_orb = &add_orb();
     }
 
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     Orb* client_orb{};
 };
 

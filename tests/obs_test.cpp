@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -196,22 +196,15 @@ public:
 };
 
 /// Two servers + one open-mode client on a LAN; `calls` kWaitAll requests.
-struct MetricsWorld {
-    explicit MetricsWorld(std::uint64_t seed)
-        : net(scheduler, calibration::make_lan_topology(), seed) {
+struct MetricsWorld : World {
+    explicit MetricsWorld(std::uint64_t seed) : World(calibration::make_lan_topology(), seed) {
         for (int i = 0; i < 2; ++i) {
-            orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-            nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-            nsos.back()->serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
+            add_nso().serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
             run_for(300_ms);
         }
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        proxy = nsos.back()->bind("svc", {.mode = BindMode::kOpen});
+        proxy = add_nso().bind("svc", {.mode = BindMode::kOpen});
         run_for(2_s);
     }
-
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
 
     int run_calls(int calls) {
         int completed = 0;
@@ -223,11 +216,6 @@ struct MetricsWorld {
         return completed;
     }
 
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     GroupProxy proxy;
 };
 
@@ -268,7 +256,6 @@ TEST(WorldMetrics, TraceSinkSeesTheRequestLifecycle) {
     obs::VectorTraceSink sink;
     world.net.metrics().set_trace_sink(&sink);
     ASSERT_EQ(world.run_calls(2), 2);
-    world.net.metrics().set_trace_sink(nullptr);
 
     EXPECT_EQ(sink.count(obs::TraceKind::kRequestSent), 2u);
     EXPECT_EQ(sink.count(obs::TraceKind::kCallCompleted), 2u);

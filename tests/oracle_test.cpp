@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/oracle.hpp"
@@ -251,27 +251,19 @@ public:
 };
 
 /// N echo servers + one open-mode client on a LAN, full trace captured.
-struct CaptureWorld {
+struct CaptureWorld : World {
     explicit CaptureWorld(int servers, std::uint64_t seed = 17)
-        : net(scheduler, calibration::make_lan_topology(), seed) {
+        : World(calibration::make_lan_topology(), seed) {
         net.metrics().set_trace_sink(&sink);
         for (int i = 0; i < servers; ++i) add_server();
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        proxy = nsos.back()->bind("svc", {.mode = BindMode::kOpen});
+        proxy = add_nso().bind("svc", {.mode = BindMode::kOpen});
         run_for(2_s);
     }
 
-    ~CaptureWorld() { net.metrics().set_trace_sink(nullptr); }
-
     void add_server() {
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        nsos.back()->serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
+        add_nso().serve("svc", GroupConfig{}, std::make_shared<EchoServant>());
         run_for(500_ms);
     }
-
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
 
     int run_calls(int calls) {
         int completed = 0;
@@ -283,12 +275,7 @@ struct CaptureWorld {
         return completed;
     }
 
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
     obs::VectorTraceSink sink;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     GroupProxy proxy;
 };
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "orb/orb.hpp"
+#include "newtop/world.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -36,24 +36,15 @@ public:
     int calls{0};
 };
 
-struct OrbFixture : ::testing::Test {
-    OrbFixture()
-        : net(scheduler, calibration::make_lan_topology(), 42),
-          client_node(net.add_node(SiteId(0))),
-          server_node(net.add_node(SiteId(0))),
-          client(net, client_node),
-          server(net, server_node),
-          servant(std::make_shared<TestServant>()),
-          target(server.adapter().activate(servant, "Test")) {}
+struct OrbFixture : ::testing::Test, World {
+    OrbFixture() : World(calibration::make_lan_topology(), 42) {}
 
-    Scheduler scheduler;
-    Network net;
-    NodeId client_node;
-    NodeId server_node;
-    Orb client;
-    Orb server;
-    std::shared_ptr<TestServant> servant;
-    Ior target;
+    Orb& client = add_orb();
+    Orb& server = add_orb();
+    NodeId client_node = client.node_id();
+    NodeId server_node = server.node_id();
+    std::shared_ptr<TestServant> servant = std::make_shared<TestServant>();
+    Ior target = server.adapter().activate(servant, "Test");
 };
 
 TEST_F(OrbFixture, RoundTripEcho) {
@@ -187,8 +178,7 @@ TEST_F(OrbFixture, ConcurrentCallsCorrelateIndependently) {
 TEST_F(OrbFixture, ServerCpuSerializesRequests) {
     // Two concurrent clients: the second reply completes after the first
     // by at least the servant execution time (single-CPU server).
-    const NodeId client2_node = net.add_node(SiteId(0));
-    Orb client2(net, client2_node);
+    Orb& client2 = add_orb();
     SimTime done1 = -1, done2 = -1;
     client.invoke(target, kEcho, Bytes{}, [&](ReplyStatus, const Bytes&) {
         done1 = scheduler.now();
@@ -215,16 +205,9 @@ TEST_F(OrbFixture, InvokeRequiresHandler) {
 // -- IOGR (object group reference) failover ---------------------------------
 
 struct IogrFixture : OrbFixture {
-    IogrFixture()
-        : backup_node(net.add_node(SiteId(0))),
-          backup(net, backup_node),
-          backup_servant(std::make_shared<TestServant>()),
-          backup_ior(backup.adapter().activate(backup_servant, "Test")) {}
-
-    NodeId backup_node;
-    Orb backup;
-    std::shared_ptr<TestServant> backup_servant;
-    Ior backup_ior;
+    Orb& backup = add_orb();
+    std::shared_ptr<TestServant> backup_servant = std::make_shared<TestServant>();
+    Ior backup_ior = backup.adapter().activate(backup_servant, "Test");
 };
 
 TEST_F(IogrFixture, PrimaryServesWhenHealthy) {
@@ -259,7 +242,7 @@ TEST_F(IogrFixture, RespectsPrimaryIndex) {
 
 TEST_F(IogrFixture, AllMembersDownReportsTimeout) {
     net.crash(server_node);
-    net.crash(backup_node);
+    net.crash(backup.node_id());
     Iogr group{{target, backup_ior}, 0};
     ReplyStatus status{};
     client.invoke_group(group, kEcho, Bytes{}, [&](ReplyStatus s, const Bytes&) { status = s; },

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
-#include "newtop/newtop_service.hpp"
+#include "newtop/world.hpp"
 #include "obs/names.hpp"
 #include "obs/oracle.hpp"
 #include "obs/profiler.hpp"
@@ -251,27 +251,19 @@ public:
 
 /// Two servers + one client on a LAN, traced from the very first join so
 /// the dump covers every histogram sample the expectations embed.
-struct ProfiledWorld {
+struct ProfiledWorld : World {
     ProfiledWorld(std::uint64_t seed, BindMode bind, OrderMode order)
-        : net(scheduler, calibration::make_lan_topology(), seed) {
+        : World(calibration::make_lan_topology(), seed) {
         net.metrics().set_trace_sink(&sink);
         GroupConfig config;
         config.order = order;
         for (int i = 0; i < 2; ++i) {
-            orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-            nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-            nsos.back()->serve("svc", config, std::make_shared<EchoServant>());
+            add_nso().serve("svc", config, std::make_shared<EchoServant>());
             run_for(300_ms);
         }
-        orbs.push_back(std::make_unique<Orb>(net, net.add_node(SiteId(0))));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        proxy = nsos.back()->bind("svc", {.mode = bind});
+        proxy = add_nso().bind("svc", {.mode = bind});
         run_for(2_s);
     }
-
-    ~ProfiledWorld() { net.metrics().set_trace_sink(nullptr); }
-
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
 
     int run_calls(int calls, InvocationMode mode) {
         int completed = 0;
@@ -300,12 +292,7 @@ struct ProfiledWorld {
         return obs::LatencyProfiler{}.analyze(dump);
     }
 
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
     obs::VectorTraceSink sink;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
     GroupProxy proxy;
 };
 

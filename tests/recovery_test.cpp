@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "net/calibration.hpp"
 #include "newtop/recovery_manager.hpp"
 #include "replication/recoverable.hpp"
@@ -18,6 +19,7 @@ namespace newtop {
 namespace {
 
 using namespace sim_literals;
+using test::call;
 
 constexpr std::uint32_t kGet = 1;
 constexpr std::uint32_t kAppend = 2;
@@ -52,37 +54,8 @@ public:
     Bytes handle(std::uint32_t, const Bytes& args) override { return args; }
 };
 
-struct RecWorld {
-    RecWorld() : net(scheduler, calibration::make_lan_topology(), 99) {}
-
-    std::size_t add_nso(int site = 0) {
-        const NodeId node = net.add_node(SiteId(static_cast<SiteId::rep_type>(site)));
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return nsos.size() - 1;
-    }
-
-    NewTopService& nso(std::size_t i) { return *nsos[i]; }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    GroupReply call(GroupProxy& proxy, std::uint32_t method, Bytes args, InvocationMode mode,
-                    SimDuration budget = 5_s) {
-        GroupReply out;
-        bool done = false;
-        proxy.invoke(method, std::move(args), mode, [&](const GroupReply& r) {
-            out = r;
-            done = true;
-        });
-        run_for(budget);
-        EXPECT_TRUE(done) << "call did not complete";
-        return out;
-    }
-
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
+struct RecWorld : World {
+    RecWorld() : World(calibration::make_lan_topology(), 99) {}
 };
 
 GroupConfig lively_config(OrderMode order = OrderMode::kTotalAsymmetric) {
@@ -179,18 +152,18 @@ TEST(NodeRestart, DoubleFaultsAreDeterministicNoOps) {
 
 TEST(Directory, ViewChangeEvictsSuspectedMembersRegistrations) {
     RecWorld world;
-    const auto s0 = world.add_nso();
-    const auto s1 = world.add_nso();
-    world.nso(s0).serve("reg", lively_config(), std::make_shared<EchoGroupServant>());
-    world.nso(s1).serve("reg", lively_config(), std::make_shared<EchoGroupServant>());
+    NewTopService& s0 = world.add_nso();
+    NewTopService& s1 = world.add_nso();
+    s0.serve("reg", lively_config(), std::make_shared<EchoGroupServant>());
+    s1.serve("reg", lively_config(), std::make_shared<EchoGroupServant>());
     world.run_for(1_s);
-    const EndpointId dead = world.nso(s1).id();
+    const EndpointId dead = s1.id();
     ASSERT_FALSE(world.directory.known_defunct(dead));
 
     // s1 dies; the survivor's failure detector must remove it from the view
     // AND tombstone its directory registrations, so rebinding clients stop
     // selecting a dead request manager.
-    world.net.crash(world.orbs[s1]->node_id());
+    world.net.crash(s1.orb().node_id());
     world.run_for(3_s);
     EXPECT_TRUE(world.directory.known_defunct(dead));
     EXPECT_GE(world.net.metrics().counter("directory.evictions"), 1u);
@@ -207,21 +180,21 @@ TEST(BindOptions, InviteTimeoutControlsDeadManagerFailover) {
     // failover happens inside 2 s; with the 3 s default it cannot.
     auto completes_within = [](SimDuration invite_timeout, SimDuration budget) {
         RecWorld world;
-        const auto s0 = world.add_nso();
-        const auto s1 = world.add_nso();
+        NewTopService& s0 = world.add_nso();
+        NewTopService& s1 = world.add_nso();
         GroupConfig cfg;
         cfg.order = OrderMode::kTotalAsymmetric;
-        world.nso(s0).serve("svc", cfg, std::make_shared<EchoGroupServant>());
-        world.nso(s1).serve("svc", cfg, std::make_shared<EchoGroupServant>());
+        s0.serve("svc", cfg, std::make_shared<EchoGroupServant>());
+        s1.serve("svc", cfg, std::make_shared<EchoGroupServant>());
         world.run_for(1_s);
-        world.net.crash(world.orbs[s0]->node_id());
+        world.net.crash(s0.orb().node_id());
         world.run_for(10_ms);
 
-        const auto c = world.add_nso();
+        NewTopService& c = world.add_nso();
         BindOptions options;
         options.mode = BindMode::kOpen;
         options.invite_timeout = invite_timeout;
-        GroupProxy proxy = world.nso(c).bind("svc", options);
+        GroupProxy proxy = c.bind("svc", options);
         bool done = false;
         proxy.invoke(kGet, {}, InvocationMode::kWaitFirst,
                      [&](const GroupReply& r) { done = r.complete; });
@@ -247,10 +220,10 @@ TEST(RecoveryManager, RestartedReplicaResyncsAndServesAgain) {
     ASSERT_TRUE(mgr0.recovered());
     ASSERT_TRUE(mgr1.recovered());
 
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
-    auto r = world.call(proxy, kAppend, encode_to_bytes(std::string("a")),
-                        InvocationMode::kWaitAll);
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("reg", {.mode = BindMode::kOpen});
+    auto r = call(world, proxy, kAppend, encode_to_bytes(std::string("a")),
+                  InvocationMode::kWaitAll);
     ASSERT_TRUE(r.complete);
     ASSERT_EQ(lives0->back()->contents(), "a");
     ASSERT_EQ(lives1->back()->contents(), "a");
@@ -273,8 +246,8 @@ TEST(RecoveryManager, RestartedReplicaResyncsAndServesAgain) {
 
     // First post-recovery execution fires the MTTR probe, once.
     ASSERT_EQ(world.net.metrics().histogram("recovery.mttr"), nullptr);
-    r = world.call(proxy, kAppend, encode_to_bytes(std::string("b")),
-                   InvocationMode::kWaitAll);
+    r = call(world, proxy, kAppend, encode_to_bytes(std::string("b")),
+             InvocationMode::kWaitAll);
     ASSERT_TRUE(r.complete);
     EXPECT_EQ(lives0->back()->contents(), "ab");
     EXPECT_EQ(lives0->back()->executions, 1);
@@ -291,10 +264,10 @@ TEST(RecoveryManager, ClientBindingHealsThroughBackoffAfterWholeGroupDeath) {
                         recorded_active_factory("solo", lively_config(), lives));
     world.run_for(500_ms);
 
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("solo", {.mode = BindMode::kOpen});
-    auto r = world.call(proxy, kAppend, encode_to_bytes(std::string("a")),
-                        InvocationMode::kWaitFirst);
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("solo", {.mode = BindMode::kOpen});
+    auto r = call(world, proxy, kAppend, encode_to_bytes(std::string("a")),
+                  InvocationMode::kWaitFirst);
     ASSERT_TRUE(r.complete);
 
     // The only replica dies.  The next call makes the client/server group
@@ -314,8 +287,8 @@ TEST(RecoveryManager, ClientBindingHealsThroughBackoffAfterWholeGroupDeath) {
     mgr.restart_after(0);
     world.run_for(15_s);
     ASSERT_TRUE(mgr.recovered());
-    r = world.call(proxy, kAppend, encode_to_bytes(std::string("b")),
-                   InvocationMode::kWaitFirst, 10_s);
+    r = call(world, proxy, kAppend, encode_to_bytes(std::string("b")),
+             InvocationMode::kWaitFirst, 10_s);
     EXPECT_TRUE(r.complete);
     EXPECT_GE(world.net.metrics().counter("invocation.backoff_rebinds"), 1u);
     // Whole-group death loses the state (there is no durable store): the
@@ -334,8 +307,8 @@ TEST(RecoveryManager, BindingSurvivesConsecutiveRebindsWithExactlyOnceCalls) {
                          recorded_active_factory("reg", lively_config(), lives1));
     world.run_for(1_s);
 
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("reg", {.mode = BindMode::kOpen});
 
     // Each round: fire a call and kill one replica in the same instant —
     // alternating, so the bound request manager keeps dying under in-flight

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "endpoint_world.hpp"
 #include "net/calibration.hpp"
 #include "replication/active_replica.hpp"
 #include "replication/passive_replica.hpp"
@@ -13,6 +14,7 @@ namespace newtop {
 namespace {
 
 using namespace sim_literals;
+using test::call;
 
 constexpr std::uint32_t kGet = 1;
 constexpr std::uint32_t kAppend = 2;
@@ -43,37 +45,8 @@ private:
     std::string contents_;
 };
 
-struct ReplWorld {
-    ReplWorld() : net(scheduler, calibration::make_lan_topology(), 17) {}
-
-    std::size_t add_nso() {
-        const NodeId node = net.add_node(SiteId(0));
-        orbs.push_back(std::make_unique<Orb>(net, node));
-        nsos.push_back(std::make_unique<NewTopService>(*orbs.back(), directory));
-        return nsos.size() - 1;
-    }
-
-    NewTopService& nso(std::size_t i) { return *nsos[i]; }
-    void run_for(SimDuration d) { scheduler.run_until(scheduler.now() + d); }
-
-    GroupReply call(GroupProxy& proxy, std::uint32_t method, Bytes args, InvocationMode mode,
-                    SimDuration budget = 5_s) {
-        GroupReply out;
-        bool done = false;
-        proxy.invoke(method, std::move(args), mode, [&](const GroupReply& r) {
-            out = r;
-            done = true;
-        });
-        run_for(budget);
-        EXPECT_TRUE(done) << "call did not complete";
-        return out;
-    }
-
-    Scheduler scheduler;
-    Network net;
-    Directory directory;
-    std::vector<std::unique_ptr<Orb>> orbs;
-    std::vector<std::unique_ptr<NewTopService>> nsos;
+struct ReplWorld : World {
+    ReplWorld() : World(calibration::make_lan_topology(), 17) {}
 };
 
 GroupConfig active_config() {
@@ -86,28 +59,28 @@ GroupConfig active_config() {
 
 TEST(ActiveReplication, FoundingMembersAreSyncedImmediately) {
     ReplWorld world;
-    const auto s0 = world.add_nso();
+    NewTopService& s0 = world.add_nso();
     auto app = std::make_shared<RegisterServant>();
-    ActiveReplica replica(world.nso(s0), "reg", active_config(), app);
+    ActiveReplica replica(s0, "reg", active_config(), app);
     EXPECT_TRUE(replica.synced());
 }
 
 TEST(ActiveReplication, JoinerReceivesStateBeforeServing) {
     ReplWorld world;
-    const auto s0 = world.add_nso();
+    NewTopService& s0 = world.add_nso();
     auto app0 = std::make_shared<RegisterServant>();
-    ActiveReplica r0(world.nso(s0), "reg", active_config(), app0);
+    ActiveReplica r0(s0, "reg", active_config(), app0);
 
     // Put some state in before anyone else joins.
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
-    world.call(proxy, kAppend, encode_to_bytes(std::string("abc")), InvocationMode::kWaitAll);
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("reg", {.mode = BindMode::kOpen});
+    call(world, proxy, kAppend, encode_to_bytes(std::string("abc")), InvocationMode::kWaitAll);
     ASSERT_EQ(app0->contents(), "abc");
 
     // A second replica joins mid-life and must catch up.
-    const auto s1 = world.add_nso();
+    NewTopService& s1 = world.add_nso();
     auto app1 = std::make_shared<RegisterServant>();
-    ActiveReplica r1(world.nso(s1), "reg", active_config(), app1);
+    ActiveReplica r1(s1, "reg", active_config(), app1);
     EXPECT_FALSE(r1.synced());
     world.run_for(2_s);
     ASSERT_TRUE(r1.synced());
@@ -117,17 +90,17 @@ TEST(ActiveReplication, JoinerReceivesStateBeforeServing) {
 
 TEST(ActiveReplication, JoinerAppliesRequestsOrderedAfterTheMarkerExactlyOnce) {
     ReplWorld world;
-    const auto s0 = world.add_nso();
+    NewTopService& s0 = world.add_nso();
     auto app0 = std::make_shared<RegisterServant>();
-    ActiveReplica r0(world.nso(s0), "reg", active_config(), app0);
+    ActiveReplica r0(s0, "reg", active_config(), app0);
 
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
-    world.call(proxy, kAppend, encode_to_bytes(std::string("a")), InvocationMode::kWaitAll);
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("reg", {.mode = BindMode::kOpen});
+    call(world, proxy, kAppend, encode_to_bytes(std::string("a")), InvocationMode::kWaitAll);
 
-    const auto s1 = world.add_nso();
+    NewTopService& s1 = world.add_nso();
     auto app1 = std::make_shared<RegisterServant>();
-    ActiveReplica r1(world.nso(s1), "reg", active_config(), app1);
+    ActiveReplica r1(s1, "reg", active_config(), app1);
 
     // Keep writing while the joiner synchronises.
     for (const char* piece : {"b", "c", "d"}) {
@@ -144,20 +117,20 @@ TEST(ActiveReplication, JoinerAppliesRequestsOrderedAfterTheMarkerExactlyOnce) {
 
 TEST(ActiveReplication, GrownGroupServesWaitAllFromAllReplicas) {
     ReplWorld world;
-    const auto s0 = world.add_nso();
+    NewTopService& s0 = world.add_nso();
     auto app0 = std::make_shared<RegisterServant>();
-    ActiveReplica r0(world.nso(s0), "reg", active_config(), app0);
+    ActiveReplica r0(s0, "reg", active_config(), app0);
 
-    const auto s1 = world.add_nso();
+    NewTopService& s1 = world.add_nso();
     auto app1 = std::make_shared<RegisterServant>();
-    ActiveReplica r1(world.nso(s1), "reg", active_config(), app1);
+    ActiveReplica r1(s1, "reg", active_config(), app1);
     world.run_for(2_s);
     ASSERT_TRUE(r1.synced());
 
-    const auto c = world.add_nso();
-    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
-    const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string("x")),
-                                        InvocationMode::kWaitAll);
+    NewTopService& c = world.add_nso();
+    GroupProxy proxy = c.bind("reg", {.mode = BindMode::kOpen});
+    const GroupReply reply = call(world, proxy, kAppend, encode_to_bytes(std::string("x")),
+                                  InvocationMode::kWaitAll);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(reply.replies.size(), 2u);
     EXPECT_EQ(app0->contents(), "x");
@@ -173,32 +146,26 @@ struct PassiveFixture : ::testing::Test {
         GroupConfig cfg = active_config();
         cfg.liveness = LivenessMode::kLively;
         for (int i = 0; i < 3; ++i) {
-            const auto idx = world.add_nso();
             apps.push_back(std::make_shared<RegisterServant>());
             replicas.push_back(std::make_unique<PassiveReplica>(
-                world.nso(idx), "preg", cfg, apps.back(),
-                PassiveOptions{.checkpoint_every = 2}));
+                world.add_nso(), "preg", cfg, apps.back(), PassiveOptions{.checkpoint_every = 2}));
             world.run_for(300_ms);
-            servers.push_back(idx);
         }
-        client = world.add_nso();
-        proxy = world.nso(client).bind(
+        proxy = world.add_nso().bind(
             "preg",
             {.mode = BindMode::kOpen, .restricted = true, .async_forwarding = true});
         world.run_for(500_ms);
     }
 
     ReplWorld world;
-    std::vector<std::size_t> servers;
     std::vector<std::shared_ptr<RegisterServant>> apps;
     std::vector<std::unique_ptr<PassiveReplica>> replicas;
-    std::size_t client{};
     GroupProxy proxy;
 };
 
 TEST_F(PassiveFixture, OnlyThePrimaryExecutes) {
-    const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string("p")),
-                                        InvocationMode::kWaitFirst);
+    const GroupReply reply = call(world, proxy, kAppend, encode_to_bytes(std::string("p")),
+                                  InvocationMode::kWaitFirst);
     ASSERT_TRUE(reply.complete);
     EXPECT_TRUE(replicas[0]->is_primary());
     EXPECT_FALSE(replicas[1]->is_primary());
@@ -209,8 +176,8 @@ TEST_F(PassiveFixture, OnlyThePrimaryExecutes) {
 
 TEST_F(PassiveFixture, CheckpointsPropagateStateToBackups) {
     for (const char* piece : {"a", "b", "c", "d"}) {
-        const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string(piece)),
-                                            InvocationMode::kWaitFirst);
+        const GroupReply reply = call(world, proxy, kAppend, encode_to_bytes(std::string(piece)),
+                                      InvocationMode::kWaitFirst);
         ASSERT_TRUE(reply.complete);
     }
     world.run_for(2_s);
@@ -226,22 +193,22 @@ TEST_F(PassiveFixture, CheckpointsPropagateStateToBackups) {
 TEST_F(PassiveFixture, FailoverReplaysTheLoggedSuffix) {
     // Three writes: checkpoint after 2, the third lives only in the logs.
     for (const char* piece : {"a", "b", "c"}) {
-        const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string(piece)),
-                                            InvocationMode::kWaitFirst);
+        const GroupReply reply = call(world, proxy, kAppend, encode_to_bytes(std::string(piece)),
+                                      InvocationMode::kWaitFirst);
         ASSERT_TRUE(reply.complete);
     }
     world.run_for(1_s);
     ASSERT_EQ(apps[0]->contents(), "abc");
 
-    world.net.crash(world.orbs[servers[0]]->node_id());
+    world.net.crash(world.orbs[0]->node_id());  // the primary
     world.run_for(5_s);
     ASSERT_TRUE(replicas[1]->is_primary());
     // The new primary replayed "c" on top of its "ab" checkpoint.
     EXPECT_EQ(apps[1]->contents(), "abc");
 
     // And it keeps serving: the proxy rebinds to it.
-    const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string("d")),
-                                        InvocationMode::kWaitFirst, 10_s);
+    const GroupReply reply = call(world, proxy, kAppend, encode_to_bytes(std::string("d")),
+                                  InvocationMode::kWaitFirst, 10_s);
     ASSERT_TRUE(reply.complete);
     EXPECT_EQ(apps[1]->contents(), "abcd");
     world.run_for(2_s);
@@ -254,7 +221,7 @@ TEST_F(PassiveFixture, BackupsRemainConsistentAfterManyWrites) {
         const std::string piece(1, static_cast<char>('a' + k));
         expected += piece;
         const GroupReply reply =
-            world.call(proxy, kAppend, encode_to_bytes(piece), InvocationMode::kWaitFirst);
+            call(world, proxy, kAppend, encode_to_bytes(piece), InvocationMode::kWaitFirst);
         ASSERT_TRUE(reply.complete);
     }
     world.run_for(2_s);
