@@ -699,9 +699,7 @@ bool GroupCommEndpoint::barrier_satisfied(const DataMsg& msg) const {
         if (entry.epoch < g->view.epoch) continue;  // flushed by a view change
         if (entry.epoch > g->view.epoch) return false;  // our install is behind
         if (!g->view.contains(entry.sender)) continue;  // departed member
-        const auto it = g->inbound.find(entry.sender);
-        const Seqno delivered = it == g->inbound.end() ? 0 : it->second.delivered_app_count;
-        if (delivered < entry.count) return false;
+        if (delivered_prefix(*g, entry.sender) < entry.count) return false;
     }
     return true;
 }
@@ -716,7 +714,6 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
     }
     NEWTOP_ENSURES(msg.kind == DataKind::kApplication, "only application data is delivered");
     const std::uint64_t payloads = 1 + msg.batch.size();
-    g.delivered_refs.insert(MsgRef{msg.sender, msg.seq});
     g.delivered_count += payloads;
     const SimTime now = orb_->scheduler().now();
     const std::uint64_t ref = obs::pack_delivered_ref(msg.epoch, msg.sender.value(), msg.seq);
@@ -735,10 +732,7 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
         metrics().trace(obs::TraceKind::kPayloadDelivered, now, id_.value(), extra, 0,
                         g.id.value(), ref);
     }
-    if (msg.sender != id_) {
-        auto& stream = g.inbound[msg.sender];
-        stream.delivered_app_count = std::max(stream.delivered_app_count, msg.seq + 1);
-    }
+    advance_delivered_prefix(g, msg);
     note_knowledge(g.id, msg.epoch, msg.sender, msg.seq + 1);
     merge_knowledge(msg.knowledge);
 
@@ -771,19 +765,15 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
 void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
     // Stream accounting first: the proposal occupied a seqno and an agreed
     // order slot, so it must count as delivered for the virtual-synchrony
-    // cut (delivered_refs) and appear in the oracle's total-order event
-    // stream (kDataDelivered) — the switch point is itself an ordered event
-    // every member sees in the same position.
-    g.delivered_refs.insert(MsgRef{msg.sender, msg.seq});
+    // cut (the sender's delivered prefix) and appear in the oracle's
+    // total-order event stream (kDataDelivered) — the switch point is itself
+    // an ordered event every member sees in the same position.
     ++g.delivered_count;
     const SimTime now = orb_->scheduler().now();
     const std::uint64_t ref = obs::pack_delivered_ref(msg.epoch, msg.sender.value(), msg.seq);
     metrics().trace(obs::TraceKind::kDataDelivered, now, id_.value(), msg.span, 0, g.id.value(),
                     ref);
-    if (msg.sender != id_) {
-        auto& stream = g.inbound[msg.sender];
-        stream.delivered_app_count = std::max(stream.delivered_app_count, msg.seq + 1);
-    }
+    advance_delivered_prefix(g, msg);
     note_knowledge(g.id, msg.epoch, msg.sender, msg.seq + 1);
     merge_knowledge(msg.knowledge);
 
@@ -812,6 +802,22 @@ void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
         Group* gp = find_group(id);
         if (gp != nullptr) maybe_start_view_change(*gp);
     });
+}
+
+Seqno GroupCommEndpoint::delivered_prefix(const Group& g, EndpointId sender) const {
+    if (sender == id_) return g.own_delivered_count;
+    const auto it = g.inbound.find(sender);
+    return it == g.inbound.end() ? 0 : it->second.delivered_app_count;
+}
+
+void GroupCommEndpoint::advance_delivered_prefix(Group& g, const DataMsg& msg) {
+    Seqno& prefix =
+        msg.sender == id_ ? g.own_delivered_count : g.inbound[msg.sender].delivered_app_count;
+    // Every engine and the cut deliver each sender's messages in seq order
+    // (order records fill the gaps in a sequencer's stream), which is what
+    // lets a count stand in for the set of delivered refs.
+    NEWTOP_ENSURES(msg.seq >= prefix, "per-sender delivery must advance in seq order");
+    prefix = msg.seq + 1;
 }
 
 // -- causal knowledge ------------------------------------------------------------

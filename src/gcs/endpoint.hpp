@@ -156,8 +156,10 @@ private:
         Seqno next_expected{0};
         std::map<Seqno, DataMsg> out_of_order;
         SimTime last_heard{0};
-        /// Count form of "delivered app prefix": last delivered application
-        /// message's seq + 1 (for cross-group knowledge barriers).
+        /// Delivered prefix of this sender's stream this epoch: last
+        /// delivered application (or config) message's seq + 1.  Delivery
+        /// per sender is FIFO, so it answers both the cross-group knowledge
+        /// barriers and "was (sender, seq) delivered" for the view-change cut.
         Seqno delivered_app_count{0};
         TimerId nack_timer{0};
         /// φ-accrual inter-arrival history: the most recent positive gaps
@@ -225,7 +227,8 @@ private:
 
         // receive side
         std::map<EndpointId, InboundStream> inbound;
-        std::set<MsgRef> delivered_refs;   // app messages delivered this epoch
+        /// delivered_app_count of our own stream (which has no InboundStream).
+        Seqno own_delivered_count{0};
         std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
         std::map<MsgRef, DataMsg> unstable;  // own + received, this epoch
 
@@ -367,7 +370,11 @@ private:
     void finish_if_flushes_complete(Group& g);
     void deliver_cut(Group& g, const InstallMsg& msg);
     void install_view(Group& g, const InstallMsg& msg);
-    void resubmit_undelivered(Group& g, const std::set<MsgRef>& delivered_in_cut);
+    void resubmit_undelivered(Group& g, Seqno own_delivered);
+    /// Delivered prefix of `sender`'s stream in g's current epoch.
+    [[nodiscard]] Seqno delivered_prefix(const Group& g, EndpointId sender) const;
+    /// Record the delivery of `msg` in its sender's delivered prefix.
+    void advance_delivered_prefix(Group& g, const DataMsg& msg);
     /// Adaptive ordering policy: after an install, the leader of a group
     /// with adaptive_asym_threshold > 0 proposes a switch to the sequencer
     /// protocol when membership reaches the threshold (and back to the

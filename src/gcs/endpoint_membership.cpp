@@ -382,8 +382,8 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
         for (auto& data : batch) {
             if (!orders_like_app(data.kind)) continue;
             if (data.epoch != g.view.epoch) continue;
+            if (data.seq < delivered_prefix(g, data.sender)) continue;
             const MsgRef ref{data.sender, data.seq};
-            if (g.delivered_refs.contains(ref)) continue;
             pending.try_emplace(ref, std::move(data));
         }
     };
@@ -477,7 +477,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.ever_sent = false;
     g.inflight_sends = 0;  // the old epoch's in-flight sends died with it
     g.inbound.clear();
-    g.delivered_refs.clear();
+    g.own_delivered_count = 0;
     g.release_queue.clear();
     g.unstable.clear();
     g.stability_reports.clear();
@@ -537,14 +537,14 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     }
 }
 
-void GroupCommEndpoint::resubmit_undelivered(Group& g, const std::set<MsgRef>& delivered) {
+void GroupCommEndpoint::resubmit_undelivered(Group& g, Seqno own_delivered) {
     // Our messages that made it into nobody's delivery (they were not in
     // the cut) would otherwise vanish; atomicity lets us resubmit them in
     // the new view (the paper's client-retry discussion, §4.1).
     std::vector<PendingSend> payloads;
     for (const auto& [ref, data] : g.unstable) {
         if (data.sender != id_ || !orders_like_app(data.kind)) continue;
-        if (delivered.contains(ref)) continue;
+        if (ref.seq < own_delivered) continue;
         // A coalesced message resubmits every payload it carried, in their
         // original submission order.  Spans stay attached: a resubmitted
         // payload still belongs to its original invocation.  An undelivered
@@ -566,7 +566,7 @@ void GroupCommEndpoint::handle_install(const InstallMsg& msg) {
 
     if (g.installed && g.view.contains(id_)) {
         deliver_cut(g, msg);
-        resubmit_undelivered(g, g.delivered_refs);
+        resubmit_undelivered(g, g.own_delivered_count);
     }
 
     install_view(g, msg);

@@ -69,12 +69,16 @@ SequencerOrder::SequencerOrder(const std::vector<EndpointId>& members, EndpointI
 
 void SequencerOrder::on_data(const DataMsg& msg) {
     if (!orders_like_app(msg.kind)) return;  // nulls bypass ordering
+    // Dedupe on the sender's highest seq (see highest_seen_): it covers
+    // refs already assigned, already delivered (erased from data_store_ and
+    // assignment_), and still pending.
+    const auto [seen, fresh] = highest_seen_.try_emplace(msg.sender, msg.seq);
+    if (!fresh) {
+        NEWTOP_ENSURES(msg.seq >= seen->second, "sequencer order fed out of FIFO order");
+        if (msg.seq == seen->second) return;
+        seen->second = msg.seq;
+    }
     const MsgRef ref{msg.sender, msg.seq};
-    // Dedupe on the ref, covering refs already assigned, already delivered
-    // (erased from data_store_/assignment_), and still pending.  Without
-    // this a retransmitted message earns a second order slot whose data can
-    // never reappear, and take_deliverable() stalls there permanently.
-    if (!seen_refs_.insert(ref).second) return;
     data_store_.emplace(ref, msg);
     if (is_sequencer()) {
         // The assignment enters log_ only once its order record is actually
@@ -123,7 +127,7 @@ std::vector<DataMsg> SequencerOrder::take_deliverable() {
         // The sequencer never delivers ahead of its own broadcast: an order
         // that has not been taken for sending is invisible to every flush,
         // so committing to it locally could not survive a view change.
-        if (is_sequencer() && !log_.contains(next_deliver_)) break;
+        if (is_sequencer() && next_deliver_ >= handed_out()) break;
         auto data_it = data_store_.find(order_it->second);
         if (data_it == data_store_.end()) break;
         // newtop-lint: allow(hot-path-alloc): delivery batch bounded by contiguous assigned prefix; amortized

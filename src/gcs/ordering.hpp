@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <variant>
 #include <vector>
 
@@ -131,6 +130,12 @@ public:
     std::vector<DataMsg> drain_pending();
 
 private:
+    /// Sequencer: how many assignments take_order_to_send has handed out
+    /// (orders [0, handed_out()) are in log_).
+    [[nodiscard]] std::uint64_t handed_out() const {
+        return next_assign_ - fresh_assignments_.size();
+    }
+
     EndpointId self_;
     EndpointId sequencer_;
     std::uint64_t next_assign_{0};   // sequencer: next order number to hand out
@@ -139,12 +144,13 @@ private:
     std::map<std::uint64_t, MsgRef> assignment_;  // order number -> undelivered message
     std::map<std::uint64_t, MsgRef> log_;         // order number -> message (whole epoch)
     std::map<MsgRef, DataMsg> data_store_;        // undelivered data
-    /// Every ref ever fed to on_data this epoch — including delivered ones,
-    /// whose data/assignment entries are already gone.  Duplicates (e.g. a
-    /// redundant retransmission) must not reach the assignment path: a
-    /// second order slot for the same ref can never be satisfied once the
-    /// first delivery consumed the data, wedging delivery forever.
-    std::set<MsgRef> seen_refs_;
+    /// Per sender, the highest seq fed to on_data this epoch.  The feed is
+    /// FIFO, so a message at it is a repeat (a redundant retransmission)
+    /// and one below it breaks the engine contract.  A repeat must not
+    /// reach the assignment path: a second order slot for the same ref can
+    /// never be satisfied once the first delivery consumed the data,
+    /// wedging delivery forever.
+    std::map<EndpointId, Seqno> highest_seen_;
 };
 
 /// Causal order via dependency vectors: message m carries, per member, how

@@ -26,10 +26,20 @@ void CpuQueue::execute(SimDuration cost, std::function<void()> fn) {
     }
     busy_until_ = start + cost;
     consumed_ += cost;
-    const std::uint64_t epoch = epoch_;
-    scheduler_->schedule_at(busy_until_, [this, epoch, fn = std::move(fn)] {
-        if (epoch == epoch_) fn();
-    });
+    tasks_.push_back(std::move(fn));
+    // Tasks complete in submission order (busy_until_ only grows within an
+    // epoch, and equal times run FIFO), so each completion runs the oldest
+    // queued task.  The closure fits std::function's inline buffer: the
+    // task's own callable is the only allocation it costs.
+    scheduler_->schedule_at(busy_until_, [this, epoch = epoch_] { complete(epoch); });
+}
+
+void CpuQueue::complete(std::uint64_t epoch) {
+    if (epoch != epoch_) return;  // dropped by reset(): tasks_ was cleared
+    // Popped before it runs: the task may submit more work or reset the CPU.
+    const std::function<void()> fn = std::move(tasks_.front());
+    tasks_.pop_front();
+    fn();
 }
 
 void CpuQueue::set_slowdown(double factor) {
@@ -39,6 +49,7 @@ void CpuQueue::set_slowdown(double factor) {
 
 void CpuQueue::reset() {
     ++epoch_;
+    tasks_.clear();
     busy_until_ = scheduler_->now();
     consumed_ = 0;
 }

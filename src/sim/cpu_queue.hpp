@@ -7,6 +7,7 @@
 // reports (§5.1.1).
 #pragma once
 
+#include <deque>
 #include <functional>
 
 #include "sim/scheduler.hpp"
@@ -68,12 +69,16 @@ public:
     void revive();
 
 private:
+    /// Completion event of the oldest queued task, submitted in `epoch`.
+    void complete(std::uint64_t epoch);
+
     Scheduler* scheduler_;
     obs::MetricsRegistry* metrics_{nullptr};
     SimTime busy_until_{0};
     SimDuration consumed_{0};
     double slowdown_{1.0};
     std::uint64_t epoch_{0};
+    std::deque<std::function<void()>> tasks_;  // accepted, not yet completed
     bool dead_{false};
 };
 

@@ -4,19 +4,23 @@
 // protocol timers — is an event on this queue.  Events at equal timestamps
 // run in scheduling order, which (together with the seeded RNG) makes whole
 // experiments deterministic.
+//
+// Events live in a slab of recycled slots; an indexed binary heap of slot
+// indices orders them by (time, scheduling order).  Cancelling removes the
+// event from the heap at once, so memory tracks the live events only — not
+// the history of timers that were armed and disarmed along the way.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <set>
 #include <vector>
 
 #include "util/time.hpp"
 
 namespace newtop {
 
-/// Handle for a scheduled event, usable to cancel it.
+/// Handle for a scheduled event, usable to cancel it.  Packs the event's
+/// slot and that slot's generation; never 0, so 0 can mean "no timer".
 using TimerId = std::uint64_t;
 
 class Scheduler {
@@ -35,9 +39,11 @@ public:
     /// Schedule `fn` to run `delay` from now (negative delays run "now").
     TimerId schedule_after(SimDuration delay, std::function<void()> fn);
 
-    /// Cancel a previously scheduled event.  Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op, which
-    /// lets protocol code cancel timers unconditionally.
+    /// Cancel a pending event: it is removed at once and its handler is
+    /// destroyed.  Cancelling id 0, or an event that has already fired or
+    /// was already cancelled, is a true no-op — a stale id never touches
+    /// the event that later reuses its slot — so protocol code may cancel
+    /// timers unconditionally.
     void cancel(TimerId id);
 
     /// Run the single earliest pending event.  Returns false if none remain.
@@ -53,34 +59,37 @@ public:
     /// `deadline` even if the queue drains early.
     void run_until(SimTime deadline);
 
-    /// Number of events currently pending (cancelled ones may be counted
-    /// until they are popped).
-    [[nodiscard]] std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+    /// Number of events currently pending (exact: cancelled events are gone).
+    [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
 private:
-    struct Event {
-        SimTime at;
-        std::uint64_t seq;  // FIFO tie-break for equal timestamps
-        TimerId id;
+    struct Slot {
+        SimTime at{0};
+        std::uint64_t seq{0};           // FIFO tie-break for equal timestamps
+        std::uint32_t generation{0};    // bumped each time the slot is freed
+        std::uint32_t heap_pos{0};      // index into heap_ while pending
         std::function<void()> fn;
     };
-    struct Later {
-        bool operator()(const Event& a, const Event& b) const {
-            if (a.at != b.at) return a.at > b.at;
-            return a.seq > b.seq;
-        }
-    };
 
-    /// Pops and returns the next non-cancelled event, or nullopt.
-    bool pop_next(Event& out);
+    [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const {
+        const Slot& x = slots_[a];
+        const Slot& y = slots_[b];
+        return x.at != y.at ? x.at < y.at : x.seq < y.seq;
+    }
+    void place(std::size_t pos, std::uint32_t slot);
+    void sift_up(std::size_t pos);
+    void sift_down(std::size_t pos);
+    /// Remove the heap entry at `pos`, return its slot to the free list and
+    /// hand back the slot's handler.
+    std::function<void()> erase_at(std::size_t pos);
+    /// Pop the earliest event, advance now() to it and run its handler.
+    void run_head();
 
     SimTime now_{0};
     std::uint64_t next_seq_{0};
-    TimerId next_id_{1};
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    // Ordered (not hashed) so that any future iteration — e.g. draining or
-    // introspecting cancelled timers — is deterministic by construction.
-    std::set<TimerId> cancelled_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    std::vector<std::uint32_t> heap_;  // slot indices, min-heap on (at, seq)
 };
 
 }  // namespace newtop

@@ -241,6 +241,13 @@ TEST(SequencerOrder, DuplicateOfDeliveredDataIsIgnored) {
     EXPECT_FALSE(order.has_pending());
 }
 
+TEST(SequencerOrder, FeedGoingBackwardsIsAnInvariantViolation) {
+    SequencerOrder order({kA, kB}, kA);
+    order.on_data(data(kB, 0, 1));
+    order.on_data(data(kB, 1, 2));
+    EXPECT_THROW(order.on_data(data(kB, 0, 1)), InvariantError);
+}
+
 TEST(SequencerOrder, AssignmentLogKeepsDeliveredEntries) {
     SequencerOrder order({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
