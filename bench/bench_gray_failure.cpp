@@ -185,14 +185,7 @@ void BM_GrayFailure(benchmark::State& state) {
         }
         artifact += "]}\n";
 
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-        const std::filesystem::path path =
-            (out_path != nullptr && *out_path != '\0') ? out_path : "BENCH_gray_failure.json";
-        std::ofstream out(path, std::ios::trunc);
-        out << artifact;
-        out.close();
-        std::cout << "# artifact " << path.string() << "\n";
+        write_bench_artifact(artifact, "BENCH_gray_failure.json");
     }
 }
 BENCHMARK(BM_GrayFailure)->Iterations(1)->Unit(benchmark::kMillisecond);

@@ -111,15 +111,7 @@ void BM_LatencyBreakdown(benchmark::State& state) {
         artifact += "]}\n";
         state.counters["reconciled"] = all_reconciled ? 1.0 : 0.0;
 
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-        const std::filesystem::path path = (out_path != nullptr && *out_path != '\0')
-                                               ? out_path
-                                               : "BENCH_latency_breakdown.json";
-        std::ofstream out(path, std::ios::trunc);
-        out << artifact;
-        out.close();
-        std::cout << "# artifact " << path.string() << "\n";
+        write_bench_artifact(artifact, "BENCH_latency_breakdown.json");
     }
 }
 BENCHMARK(BM_LatencyBreakdown)->Iterations(1)->Unit(benchmark::kMillisecond);

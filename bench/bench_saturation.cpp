@@ -15,6 +15,8 @@
 // and the standard deterministic `# metrics` line.
 #include "harness.hpp"
 
+#include <sstream>
+
 #include "gcs/endpoint.hpp"
 #include "obs/profiler.hpp"
 
@@ -135,17 +137,7 @@ SaturationResult run_saturation(const SaturationOptions& options) {
                 std::string(obs::metric::kGcsDeliveryLatencyUs), h->count(), h->sum()});
         }
         result.profile = obs::LatencyProfiler{}.analyze(dump);
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
-        if (dump_dir != nullptr && *dump_dir != '\0') {
-            const std::filesystem::path dir(dump_dir);
-            std::filesystem::create_directories(dir);
-            const std::filesystem::path path = dir / "saturation.trace.json";
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << dump.to_json();
-            out.close();
-            std::cout << "# trace-dump " << path.string() << "\n";
-        }
+        write_trace_dump(dump, "saturation");
     }
     return result;
 }
@@ -174,12 +166,8 @@ void write_artifact(const SaturationOptions& unbatched_options,
                     const SaturationOptions& batched_options,
                     const SaturationResult& batched, double speedup,
                     const SaturationResult& profiled) {
-    // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-    const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-    const std::filesystem::path path =
-        (out_path != nullptr && *out_path != '\0') ? out_path : "BENCH_saturation.json";
-    std::ofstream out(path, std::ios::trunc);
     const obs::ProfileReport& profile = profiled.profile;
+    std::ostringstream out;
     out << "{\"bench\":\"saturation\",\"setting\":\"lan\",\"seed\":"
         << unbatched_options.seed << ",\"modes\":["
         << json_mode("unbatched", false, unbatched_options, unbatched) << ","
@@ -188,8 +176,7 @@ void write_artifact(const SaturationOptions& unbatched_options,
         << ",\"delivered\":" << profiled.delivered << ",\"sequencer_turnaround\":{\"count\":"
         << profile.sequencer_turnaround_count
         << ",\"sum_us\":" << profile.sequencer_turnaround_sum_us << "}}}\n";
-    out.close();
-    std::cout << "# artifact " << path.string() << "\n";
+    write_bench_artifact(out.str(), "BENCH_saturation.json");
 }
 
 void BM_Saturation_Lan(benchmark::State& state) {

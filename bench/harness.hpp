@@ -22,6 +22,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -44,6 +45,34 @@ inline const char* setting_name(Setting s) {
         case Setting::kGeo: return "geo-distributed";
     }
     return "?";
+}
+
+/// Write a bench's JSON artifact to $NEWTOP_BENCH_OUT, or to `default_path`
+/// when that is unset, and print the path.
+inline void write_bench_artifact(std::string_view artifact, const char* default_path) {
+    // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
+    const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
+    const std::filesystem::path path =
+        (out_path != nullptr && *out_path != '\0') ? out_path : default_path;
+    std::ofstream out(path, std::ios::trunc);
+    out << artifact;
+    out.close();
+    std::cout << "# artifact " << path.string() << "\n";
+}
+
+/// Write `dump` to $NEWTOP_TRACE_DUMP_OUT/<name>.trace.json (the input of
+/// newtop_prof) when that directory is set, and print the path.
+inline void write_trace_dump(const obs::TraceDump& dump, const std::string& name) {
+    // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
+    const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
+    if (dump_dir == nullptr || *dump_dir == '\0') return;
+    const std::filesystem::path dir(dump_dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path path = dir / (name + ".trace.json");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << dump.to_json();
+    out.close();
+    std::cout << "# trace-dump " << path.string() << "\n";
 }
 
 /// The paper's benchmark servant: returns a pseudo-random number.
@@ -266,17 +295,7 @@ private:
             append_expectation(dump, obs::metric::kInvReplyWaitOther);
             append_expectation(dump, obs::metric::kGcsDeliveryLatencyUs);
             result.profile = obs::LatencyProfiler{}.analyze(dump);
-            // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-            const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
-            if (dump_dir != nullptr && *dump_dir != '\0') {
-                const std::filesystem::path dir(dump_dir);
-                std::filesystem::create_directories(dir);
-                const std::filesystem::path path = dir / (label() + ".trace.json");
-                std::ofstream out(path, std::ios::binary | std::ios::trunc);
-                out << dump.to_json();
-                out.close();
-                std::cout << "# trace-dump " << path.string() << "\n";
-            }
+            write_trace_dump(dump, label());
         }
         if (trace_dir != nullptr && *trace_dir != '\0' && trace_sink_ != nullptr) {
             obs::ExportOptions export_options;

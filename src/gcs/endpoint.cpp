@@ -22,24 +22,6 @@ namespace {
 constexpr SimDuration kNackDelay = 2_ms;
 constexpr SimDuration kNackRetry = 10_ms;
 
-Bytes encode_order_payload(const OrderMsg& order) {
-    Encoder e;
-    encode(e, order.first_order);
-    encode(e, order.refs);
-    return std::move(e).take();
-}
-
-OrderMsg decode_order_payload(const DataMsg& msg) {
-    Decoder d(msg.payload);
-    OrderMsg order;
-    order.group = msg.group;
-    order.epoch = msg.epoch;
-    decode(d, order.first_order);
-    decode(d, order.refs);
-    if (!d.exhausted()) throw DecodeError("trailing bytes in order payload");
-    return order;
-}
-
 /// Creation- and proposal-time configuration sanity.  The one that bites in
 /// practice: a view-change round must be allowed strictly more time than
 /// the suspicion timeout, or the coordinator gets suspected by followers
@@ -321,9 +303,7 @@ void GroupCommEndpoint::reconfigure(GroupId group, const GroupConfig& next) {
     // Proposer-unique: endpoint id in the high half, local counter in the
     // low one, so an install can name exactly which proposal it honoured.
     change.nonce = (static_cast<std::uint64_t>(id_.value()) << 32) | ++reconfig_seq_;
-    Encoder e;
-    encode(e, change);
-    Bytes payload = std::move(e).take();
+    Bytes payload = encode_to_bytes(change);
     // Synthetic root span, as for bare multicasts: the proposal is ordinary
     // ordered traffic as far as the trace is concerned.
     obs::SpanContext span;
@@ -597,7 +577,7 @@ void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
         return;
     }
     try {
-        sequencer->on_order(decode_order_payload(msg));
+        sequencer->on_order(decode_from_bytes<OrderRecord>(msg.payload));
     } catch (const DecodeError& err) {
         NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
     }
@@ -650,7 +630,7 @@ void GroupCommEndpoint::flush_order(Group& g) {
                             g.id.value(),
                             obs::pack_delivered_ref(g.view.epoch, ref.sender.value(), ref.seq));
         }
-        send_data(g, DataKind::kOrder, encode_order_payload(*order));
+        send_data(g, DataKind::kOrder, encode_to_bytes(*order));
     }
 }
 
@@ -779,9 +759,7 @@ void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
 
     ConfigChangeMsg change;
     try {
-        Decoder d(msg.payload);
-        decode(d, change);
-        if (!d.exhausted()) throw DecodeError("trailing bytes in config payload");
+        change = decode_from_bytes<ConfigChangeMsg>(msg.payload);
     } catch (const DecodeError& err) {
         NEWTOP_WARN("endpoint " << id_ << ": bad config payload: " << err.what());
         return;

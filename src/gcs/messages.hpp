@@ -3,6 +3,8 @@
 // Every message is serialized and shipped as a oneway ORB invocation to the
 // peer endpoint's GCS servant, reproducing the paper's architecture where
 // NewTop-internal traffic itself travels as CORBA invocations (fig. 2).
+// Each struct's `wire` function is its one field list, driven by both the
+// encoder and the decoder (serial/encoder.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,10 @@ struct MsgRef {
     friend auto operator<=>(const MsgRef&, const MsgRef&) = default;
 };
 
+void wire(auto& io, WireOf<MsgRef> auto& v) { io(v.sender, v.seq); }
+
+void wire(auto& io, WireOf<obs::SpanContext> auto& v) { io(v.trace, v.span); }
+
 /// One entry of a causal-knowledge vector: "I know (directly or
 /// transitively) that in epoch `epoch` of `group`, `sender` has sent at
 /// least `count` stream messages, the last of which was an application
@@ -39,6 +45,8 @@ struct KnowledgeEntry {
 
     friend auto operator<=>(const KnowledgeEntry&, const KnowledgeEntry&) = default;
 };
+
+void wire(auto& io, WireOf<KnowledgeEntry> auto& v) { io(v.group, v.epoch, v.sender, v.count); }
 
 enum class DataKind : std::uint8_t {
     kApplication = 0,
@@ -58,6 +66,7 @@ enum class DataKind : std::uint8_t {
     /// flush-delimited configuration view change.
     kConfig = 3,
 };
+constexpr DataKind wire_max(DataKind) { return DataKind::kConfig; }
 
 /// Returns true for kinds the ordering engines hold back and deliver in
 /// the agreed total order (application payloads and in-stream config
@@ -107,6 +116,17 @@ struct DataMsg {
     std::vector<obs::SpanContext> batch_spans;
 };
 
+void wire(auto& io, WireOf<DataMsg> auto& v) {
+    io(v.group, v.epoch, v.sender, v.seq, v.ts, v.kind, v.knowledge, v.payload, v.batch,
+       v.received_counts, v.causal_vc, v.sent_at, v.span, v.batch_spans);
+}
+
+void wire(auto& io, WireOf<GroupConfig> auto& v) {
+    io(v.order, v.liveness, v.time_silence, v.ack_delay, v.suspicion_timeout,
+       v.view_change_timeout, v.stability_period, v.order_window, v.order_max_batch,
+       v.adaptive_asym_threshold, v.phi_threshold_milli, v.phi_floor, v.phi_ceiling);
+}
+
 /// A runtime reconfiguration proposal, shipped as the payload of a
 /// DataKind::kConfig stream message so it is totally ordered against the
 /// application traffic it delimits.  Delivery does not switch anything by
@@ -126,6 +146,8 @@ struct ConfigChangeMsg {
     friend bool operator==(const ConfigChangeMsg&, const ConfigChangeMsg&) = default;
 };
 
+void wire(auto& io, WireOf<ConfigChangeMsg> auto& v) { io(v.group, v.next, v.nonce); }
+
 /// Retransmission request: "resend your messages with these seqnos".
 struct NackMsg {
     GroupId group;
@@ -134,14 +156,27 @@ struct NackMsg {
     std::vector<Seqno> missing;
 };
 
+void wire(auto& io, WireOf<NackMsg> auto& v) { io(v.group, v.epoch, v.requester, v.missing); }
+
 /// Asymmetric-order record from the sequencer: refs[i] is the message with
-/// global order number `first_order + i`.
-struct OrderMsg {
-    GroupId group;
-    ViewEpoch epoch{0};
+/// global order number `first_order + i`.  Travels as the payload of a
+/// DataKind::kOrder message on the sequencer's stream.
+struct OrderRecord {
     std::uint64_t first_order{0};
     std::vector<MsgRef> refs;
 };
+
+void wire(auto& io, WireOf<OrderRecord> auto& v) { io(v.first_order, v.refs); }
+
+/// An order record as a GCS message of its own.  Endpoints ignore it: order
+/// records ride the sequencer's stream (see OrderRecord).
+struct OrderMsg {
+    GroupId group;
+    ViewEpoch epoch{0};
+    OrderRecord record;
+};
+
+void wire(auto& io, WireOf<OrderMsg> auto& v) { io(v.group, v.epoch, v.record); }
 
 /// Ask a current member to bring `joiner` into the group.
 struct JoinReq {
@@ -149,11 +184,15 @@ struct JoinReq {
     EndpointId joiner;
 };
 
+void wire(auto& io, WireOf<JoinReq> auto& v) { io(v.group, v.joiner); }
+
 /// Ask the group to let `leaver` go.
 struct LeaveReq {
     GroupId group;
     EndpointId leaver;
 };
+
+void wire(auto& io, WireOf<LeaveReq> auto& v) { io(v.group, v.leaver); }
 
 /// Gossip that `suspects` are believed failed (drives everyone's suspicion
 /// state toward agreement so the same coordinator is chosen).
@@ -164,6 +203,8 @@ struct SuspectMsg {
     std::vector<EndpointId> suspects;
 };
 
+void wire(auto& io, WireOf<SuspectMsg> auto& v) { io(v.group, v.epoch, v.reporter, v.suspects); }
+
 /// A view-change round is identified by (new_epoch, coordinator); higher
 /// pairs supersede lower ones.
 struct ProposeMsg {
@@ -173,6 +214,10 @@ struct ProposeMsg {
     EndpointId coordinator;
     std::vector<EndpointId> proposed_members;
 };
+
+void wire(auto& io, WireOf<ProposeMsg> auto& v) {
+    io(v.group, v.old_epoch, v.new_epoch, v.coordinator, v.proposed_members);
+}
 
 /// Flush reply: everything the member has received in the old epoch that
 /// is not yet known stable, so the coordinator can compute a common cut.
@@ -186,6 +231,10 @@ struct FlushMsg {
     std::vector<DataMsg> unstable;
     std::vector<std::pair<std::uint64_t, MsgRef>> orders;
 };
+
+void wire(auto& io, WireOf<FlushMsg> auto& v) {
+    io(v.group, v.new_epoch, v.coordinator, v.sender, v.unstable, v.orders);
+}
 
 /// Install the new view.  `cut` is the union of unstable messages; members
 /// of the old view deliver any of them not yet delivered — first those with
@@ -210,23 +259,19 @@ struct InstallMsg {
     std::uint64_t applied_nonce{0};
 };
 
+void wire(auto& io, WireOf<InstallMsg> auto& v) {
+    io(v.group, v.view, v.coordinator, v.cut, v.orders, v.config, v.config_epoch,
+       v.applied_nonce);
+}
+
+/// On the wire the variant's tag is the alternative's index + 1, so the
+/// order of this list is part of the wire format.
 using GcsMessage = std::variant<DataMsg, NackMsg, OrderMsg, JoinReq, LeaveReq, SuspectMsg,
                                 ProposeMsg, FlushMsg, InstallMsg>;
 
-Bytes encode_gcs_message(const GcsMessage& msg);
-GcsMessage decode_gcs_message(BytesView wire);
-
-void encode(Encoder& e, const obs::SpanContext& v);
-void decode(Decoder& d, obs::SpanContext& v);
-void encode(Encoder& e, const MsgRef& v);
-void decode(Decoder& d, MsgRef& v);
-void encode(Encoder& e, const KnowledgeEntry& v);
-void decode(Decoder& d, KnowledgeEntry& v);
-void encode(Encoder& e, const DataMsg& v);
-void decode(Decoder& d, DataMsg& v);
-void encode(Encoder& e, const GroupConfig& v);
-void decode(Decoder& d, GroupConfig& v);
-void encode(Encoder& e, const ConfigChangeMsg& v);
-void decode(Decoder& d, ConfigChangeMsg& v);
+inline Bytes encode_gcs_message(const GcsMessage& msg) { return encode_to_bytes(msg); }
+inline GcsMessage decode_gcs_message(BytesView wire) {
+    return decode_from_bytes<GcsMessage>(wire);
+}
 
 }  // namespace newtop

@@ -94,20 +94,20 @@ void SequencerOrder::on_data(const DataMsg& msg) {
     }
 }
 
-void SequencerOrder::on_order(const OrderMsg& msg) {
+void SequencerOrder::on_order(const OrderRecord& order) {
     if (is_sequencer()) return;  // we made the assignments ourselves
-    for (std::size_t i = 0; i < msg.refs.size(); ++i) {
-        assignment_.emplace(msg.first_order + i, msg.refs[i]);
-        log_.emplace(msg.first_order + i, msg.refs[i]);
+    for (std::size_t i = 0; i < order.refs.size(); ++i) {
+        assignment_.emplace(order.first_order + i, order.refs[i]);
+        log_.emplace(order.first_order + i, order.refs[i]);
     }
 }
 
-std::optional<OrderMsg> SequencerOrder::take_order_to_send(std::size_t max_refs) {
+std::optional<OrderRecord> SequencerOrder::take_order_to_send(std::size_t max_refs) {
     if (fresh_assignments_.empty()) return std::nullopt;
     const std::size_t take = (max_refs == 0)
                                  ? fresh_assignments_.size()
                                  : std::min(max_refs, fresh_assignments_.size());
-    OrderMsg out;
+    OrderRecord out;
     out.first_order = next_assign_ - fresh_assignments_.size();
     for (std::size_t i = 0; i < take; ++i) {
         log_.emplace(out.first_order + i, fresh_assignments_[i]);

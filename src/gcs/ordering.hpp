@@ -89,12 +89,12 @@ public:
     void on_data(const DataMsg& msg);
 
     /// Feed an order record from the sequencer.
-    void on_order(const OrderMsg& msg);
+    void on_order(const OrderRecord& order);
 
     /// If this member is the sequencer and new assignments were made,
     /// returns the order record to multicast, covering at most `max_refs`
     /// fresh assignments (0 = all of them).  Call repeatedly to drain.
-    std::optional<OrderMsg> take_order_to_send(std::size_t max_refs = 0);
+    std::optional<OrderRecord> take_order_to_send(std::size_t max_refs = 0);
 
     /// Assignments made but not yet handed out for broadcast — the batch an
     /// ORDER flush would cover.

@@ -43,6 +43,7 @@ enum class OrderMode : std::uint8_t {
     /// delivered in different orders at different members.
     kCausal = 2,
 };
+constexpr OrderMode wire_max(OrderMode) { return OrderMode::kCausal; }
 
 /// When the time-silence and failure-suspicion machinery runs (§3).
 enum class LivenessMode : std::uint8_t {
@@ -53,6 +54,7 @@ enum class LivenessMode : std::uint8_t {
     /// appropriate for request-reply groups.
     kEventDriven = 1,
 };
+constexpr LivenessMode wire_max(LivenessMode) { return LivenessMode::kEventDriven; }
 
 /// Monotonic configuration number within a group: each view-synchronous
 /// reconfiguration (a ConfigChangeMsg agreed through the group's own total

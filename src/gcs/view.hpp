@@ -6,6 +6,7 @@
 // for deterministic role election (coordinator, sequencer).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -39,7 +40,10 @@ struct View {
     friend bool operator==(const View&, const View&) = default;
 };
 
-void encode(Encoder& e, const View& view);
-void decode(Decoder& d, View& view);
+void wire(auto& io, WireOf<View> auto& v) {
+    io(v.group, v.epoch, v.members);
+    // Defend downstream rank logic against malformed input.
+    io.check(std::is_sorted(v.members.begin(), v.members.end()), "view members not sorted");
+}
 
 }  // namespace newtop

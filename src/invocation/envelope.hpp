@@ -2,15 +2,15 @@
 //
 // These ride as payloads of GCS multicasts (requests, forwards, in-group
 // replies, aggregates) or of direct ORB oneways (closed-mode replies sent
-// "directly" to the client, §2.1).
+// "directly" to the client, §2.1).  Each struct's `wire` function is its one
+// field list (serial/encoder.hpp).
 #pragma once
 
 #include <variant>
 #include <vector>
 
-#include "gcs/types.hpp"
+#include "gcs/messages.hpp"
 #include "invocation/types.hpp"
-#include "obs/trace.hpp"
 #include "serial/serial.hpp"
 
 namespace newtop {
@@ -20,6 +20,10 @@ inline constexpr std::uint8_t kFlagAsyncForwarding = 1 << 0;
 /// The forward is informational only: execute but do not reply (used for
 /// the passive side of asynchronous forwarding).
 inline constexpr std::uint8_t kFlagNoReply = 1 << 1;
+
+void wire(auto& io, WireOf<CallId> auto& v) { io(v.origin, v.seq, v.group_origin); }
+
+void wire(auto& io, WireOf<ReplyEntry> auto& v) { io(v.replier, v.ok, v.value); }
 
 /// Client -> server(s).  In open mode, multicast in the client/server
 /// group; in closed mode, multicast in the access group.
@@ -39,6 +43,10 @@ struct RequestEnv {
     SimTime deadline{0};
 };
 
+void wire(auto& io, WireOf<RequestEnv> auto& v) {
+    io(v.call, v.span, v.mode, v.flags, v.server_group, v.bind, v.method, v.args, v.deadline);
+}
+
 /// Request manager -> server group (step (ii) of fig. 4).
 struct ForwardEnv {
     CallId call;
@@ -52,6 +60,10 @@ struct ForwardEnv {
     SimTime deadline{0};
 };
 
+void wire(auto& io, WireOf<ForwardEnv> auto& v) {
+    io(v.call, v.span, v.mode, v.flags, v.manager, v.method, v.args, v.deadline);
+}
+
 /// One server's reply.  Multicast within the server group (open mode,
 /// fig. 4(iii)) or sent directly to the client (closed mode).
 struct ReplyEnv {
@@ -62,6 +74,8 @@ struct ReplyEnv {
     Bytes value;
 };
 
+void wire(auto& io, WireOf<ReplyEnv> auto& v) { io(v.call, v.span, v.replier, v.ok, v.value); }
+
 /// Request manager -> client(s): the gathered replies (fig. 4(iv)).
 struct AggregateEnv {
     CallId call;
@@ -70,16 +84,14 @@ struct AggregateEnv {
     std::vector<ReplyEntry> replies;
 };
 
+void wire(auto& io, WireOf<AggregateEnv> auto& v) { io(v.call, v.span, v.complete, v.replies); }
+
+/// Tagged like GcsMessage: the alternative's index + 1.
 using InvocationEnvelope = std::variant<RequestEnv, ForwardEnv, ReplyEnv, AggregateEnv>;
 
-Bytes encode_envelope(const InvocationEnvelope& env);
-InvocationEnvelope decode_envelope(const Bytes& wire);
-
-void encode(Encoder& e, const CallId& v);
-void decode(Decoder& d, CallId& v);
-void encode(Encoder& e, const ReplyEntry& v);
-void decode(Decoder& d, ReplyEntry& v);
-void encode(Encoder& e, const obs::SpanContext& v);
-void decode(Decoder& d, obs::SpanContext& v);
+inline Bytes encode_envelope(const InvocationEnvelope& env) { return encode_to_bytes(env); }
+inline InvocationEnvelope decode_envelope(const Bytes& wire) {
+    return decode_from_bytes<InvocationEnvelope>(wire);
+}
 
 }  // namespace newtop

@@ -248,8 +248,8 @@ namespace {
 constexpr std::size_t kBindAdmissionLimit = 512;
 }  // namespace
 
-bool InvocationService::on_join_cs_request(const std::string& cs_name, GroupId server_group,
-                                           EndpointId owner) {
+bool InvocationService::on_join_cs_request(const JoinCsRequest& request) {
+    const auto& [cs_name, server_group, owner] = request;
     const auto it = served_index_.find(server_group);
     if (it == served_index_.end()) return false;  // we do not serve that group
     const std::size_t load = endpoint_->pending_load();

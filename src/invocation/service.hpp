@@ -45,6 +45,16 @@ using BindingId = std::uint64_t;
 /// operation (see NewTopService).
 inline constexpr std::uint32_t kNsoJoinCsMethod = 201;
 
+/// Argument of kNsoJoinCsMethod: join client/server group `cs_name`, owned
+/// by endpoint `owner`, on behalf of the served group `server_group`.
+struct JoinCsRequest {
+    std::string cs_name;
+    GroupId server_group;
+    EndpointId owner;
+};
+
+void wire(auto& io, WireOf<JoinCsRequest> auto& v) { io(v.cs_name, v.server_group, v.owner); }
+
 class InvocationService {
 public:
     InvocationService(Orb& orb, GroupCommEndpoint& endpoint, Directory& directory);
@@ -112,8 +122,7 @@ public:
     /// Another NSO asks us (a server) to join a client/server group (as
     /// open-mode request manager, or as one of a closed group's members).
     /// Returns true if we are (now) joining.
-    bool on_join_cs_request(const std::string& cs_name, GroupId server_group,
-                            EndpointId owner);
+    bool on_join_cs_request(const JoinCsRequest& request);
 
 private:
     // -- server-side state ------------------------------------------------------
@@ -233,6 +242,7 @@ private:
     [[nodiscard]] GroupConfig cs_group_config(const Binding& b) const;
     void start_open_bind(Binding& b);
     void start_closed_bind(Binding& b);
+    [[nodiscard]] Bytes join_cs_args(const Binding& b) const;
     void invite_manager(Binding& b);
     void invite_server(Binding& b, EndpointId server);
     void on_invite_timeout(BindingId id, std::uint64_t attempt);

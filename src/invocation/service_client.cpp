@@ -137,12 +137,13 @@ void InvocationService::start_closed_bind(Binding& b) {
         });
 }
 
+Bytes InvocationService::join_cs_args(const Binding& b) const {
+    return encode_to_bytes(
+        JoinCsRequest{directory_->find_group(b.cs_group)->name, b.server_group, endpoint_->id()});
+}
+
 void InvocationService::invite_server(Binding& b, EndpointId server) {
-    Encoder e;
-    encode(e, directory_->find_group(b.cs_group)->name);
-    encode(e, b.server_group);
-    encode(e, endpoint_->id());
-    orb_->invoke(directory_->nso_ior(server), kNsoJoinCsMethod, std::move(e).take(),
+    orb_->invoke(directory_->nso_ior(server), kNsoJoinCsMethod, join_cs_args(b),
                  [](ReplyStatus, const Bytes&) {}, b.options.invite_timeout);
 }
 
@@ -230,13 +231,9 @@ void InvocationService::start_open_bind(Binding& b) {
 void InvocationService::invite_manager(Binding& b) {
     // Ask the chosen server's NSO (a plain ORB request) to join our
     // client/server group as request manager.
-    Encoder e;
-    encode(e, directory_->find_group(b.cs_group)->name);
-    encode(e, b.server_group);
-    encode(e, endpoint_->id());
     const BindingId id = b.id;
     const std::uint64_t attempt = b.attempt;
-    orb_->invoke(directory_->nso_ior(b.manager), kNsoJoinCsMethod, std::move(e).take(),
+    orb_->invoke(directory_->nso_ior(b.manager), kNsoJoinCsMethod, join_cs_args(b),
                  [this, id, attempt](ReplyStatus status, const Bytes&) {
                      if (status == ReplyStatus::kOk) return;  // now wait for the view
                      on_invite_timeout(id, attempt);

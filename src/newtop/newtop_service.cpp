@@ -91,19 +91,11 @@ NewTopService::NewTopService(Orb& orb, Directory& directory)
 
 Bytes NewTopService::handle_management(std::uint32_t method, BytesView args) {
     switch (method) {
-        case kNsoJoinCsMethod: {
-            Decoder d(args);
-            std::string cs_name;
-            GroupId server_group;
-            EndpointId owner;
-            decode(d, cs_name);
-            decode(d, server_group);
-            decode(d, owner);
-            if (!invocation_.on_join_cs_request(cs_name, server_group, owner)) {
+        case kNsoJoinCsMethod:
+            if (!invocation_.on_join_cs_request(decode_from_bytes<JoinCsRequest>(args))) {
                 throw ServantError("not serving the requested group");
             }
             return {};
-        }
         default:
             throw ServantError("unknown NSO method");
     }

@@ -4,35 +4,10 @@
 
 namespace newtop {
 
-void encode(Encoder& e, const Ior& ior) {
-    encode(e, ior.node);
-    encode(e, ior.key);
-    encode(e, ior.type_name);
-}
-
-void decode(Decoder& d, Ior& ior) {
-    decode(d, ior.node);
-    decode(d, ior.key);
-    decode(d, ior.type_name);
-}
-
 const Ior& Iogr::primary() const {
     NEWTOP_EXPECTS(!members.empty(), "empty object group reference");
     NEWTOP_EXPECTS(primary_index < members.size(), "primary index out of range");
     return members[primary_index];
-}
-
-void encode(Encoder& e, const Iogr& iogr) {
-    encode(e, iogr.members);
-    encode(e, iogr.primary_index);
-}
-
-void decode(Decoder& d, Iogr& iogr) {
-    decode(d, iogr.members);
-    decode(d, iogr.primary_index);
-    if (!iogr.members.empty() && iogr.primary_index >= iogr.members.size()) {
-        throw DecodeError("IOGR primary index out of range");
-    }
 }
 
 }  // namespace newtop

@@ -29,8 +29,7 @@ struct Ior {
     friend bool operator==(const Ior&, const Ior&) = default;
 };
 
-void encode(Encoder& e, const Ior& ior);
-void decode(Decoder& d, Ior& ior);
+void wire(auto& io, WireOf<Ior> auto& v) { io(v.node, v.key, v.type_name); }
 
 struct Iogr {
     std::vector<Ior> members;
@@ -41,7 +40,10 @@ struct Iogr {
     friend bool operator==(const Iogr&, const Iogr&) = default;
 };
 
-void encode(Encoder& e, const Iogr& iogr);
-void decode(Decoder& d, Iogr& iogr);
+void wire(auto& io, WireOf<Iogr> auto& v) {
+    io(v.members, v.primary_index);
+    io.check(v.members.empty() || v.primary_index < v.members.size(),
+             "IOGR primary index out of range");
+}
 
 }  // namespace newtop

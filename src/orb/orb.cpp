@@ -143,6 +143,16 @@ void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
             if (!oneway) send_reply(from, request_id, ReplyStatus::kNoObject, Bytes{});
             return;
         }
+        // A servant that rejects its arguments (ServantError, or DecodeError
+        // from unmarshalling them) fails this one call: a two-way caller
+        // gets kException, a oneway is dropped.
+        const auto fail = [&](const std::exception& err) {
+            arena_.recycle(std::move(wire));
+            if (!oneway) {
+                send_reply(from, request_id, ReplyStatus::kException,
+                           encode_to_bytes(std::string(err.what())));
+            }
+        };
         try {
             Bytes result = target->dispatch(method, BytesView{wire.data() + args_off, args_len});
             // Retire the request wire before framing the reply, so the
@@ -150,11 +160,9 @@ void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
             arena_.recycle(std::move(wire));
             if (!oneway) send_reply(from, request_id, ReplyStatus::kOk, std::move(result));
         } catch (const ServantError& err) {
-            arena_.recycle(std::move(wire));
-            if (!oneway) {
-                send_reply(from, request_id, ReplyStatus::kException,
-                           encode_to_bytes(std::string(err.what())));
-            }
+            fail(err);
+        } catch (const DecodeError& err) {
+            fail(err);
         }
     });
 }

@@ -18,19 +18,6 @@ std::string transfer_object_name(const std::string& service, EndpointId member) 
     return "state:" + service + ":" + std::to_string(member.value());
 }
 
-Bytes encode_marker(EndpointId donor, const std::vector<EndpointId>& joiners) {
-    Encoder e;
-    encode(e, donor);
-    encode(e, joiners);
-    return std::move(e).take();
-}
-
-void decode_marker(const Bytes& args, EndpointId& donor, std::vector<EndpointId>& joiners) {
-    Decoder d(args);
-    decode(d, donor);
-    decode(d, joiners);
-}
-
 }  // namespace
 
 /// The servant handed to serve(): forwards to the application servant while
@@ -94,7 +81,7 @@ public:
         marker.mode = InvocationMode::kOneWay;
         marker.manager = nso_->id();
         marker.method = kSyncMarkerMethod;
-        marker.args = encode_marker(nso_->id(), joiners);
+        marker.args = encode_to_bytes(SyncMarker{nso_->id(), std::move(joiners)});
         nso_->group_comm().multicast(group, encode_envelope(marker));
     }
 
@@ -160,14 +147,14 @@ private:
     [[nodiscard]] const Directory& directory() const { return *directory_; }
 
     void on_marker(const Bytes& args) {
-        EndpointId donor;
-        std::vector<EndpointId> joiners;
+        SyncMarker marker;
         try {
-            decode_marker(args, donor, joiners);
+            marker = decode_from_bytes<SyncMarker>(args);
         } catch (const DecodeError& err) {
             NEWTOP_WARN("active replica: bad sync marker: " << err.what());
             return;
         }
+        const auto& [donor, joiners] = marker;
         const bool for_us =
             std::find(joiners.begin(), joiners.end(), nso_->id()) != joiners.end();
         if (!synced_ && for_us) {

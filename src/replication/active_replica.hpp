@@ -22,6 +22,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "newtop/newtop_service.hpp"
 #include "replication/stateful_servant.hpp"
@@ -35,6 +36,15 @@ inline constexpr std::uint32_t kStateRequestMethod = 302;
 /// Reserved invocation-method id carrying sync markers through the
 /// ordered request stream (applications must not use it).
 inline constexpr std::uint32_t kSyncMarkerMethod = 0xffffffff;
+
+/// Argument of a sync marker: `donor` snapshots its state at the marker's
+/// position in the request order and ships it to `joiners`.
+struct SyncMarker {
+    EndpointId donor;
+    std::vector<EndpointId> joiners;
+};
+
+void wire(auto& io, WireOf<SyncMarker> auto& v) { io(v.donor, v.joiners); }
 
 class ActiveReplica {
 public:

@@ -14,16 +14,6 @@ std::string checkpoint_object_name(const std::string& service, EndpointId member
     return "pstate:" + service + ":" + std::to_string(member.value());
 }
 
-/// A position in the totally-ordered request stream: (view epoch, index of
-/// the request within that epoch).  Identical at every member because all
-/// members deliver the same requests in the same order per view.
-struct StreamPos {
-    ViewEpoch epoch{0};
-    std::uint64_t index{0};
-
-    friend auto operator<=>(const StreamPos&, const StreamPos&) = default;
-};
-
 }  // namespace
 
 class PassiveReplica::Shim : public GroupServant {
@@ -60,14 +50,11 @@ public:
     }
 
     void install_checkpoint(BytesView body) {
-        Decoder d(body);
-        StreamPos pos;
-        decode(d, pos.epoch);
-        decode(d, pos.index);
-        const Bytes snapshot = d.get_blob();
+        const Checkpoint checkpoint = decode_from_bytes<Checkpoint>(body);
+        const StreamPos pos = checkpoint.pos;
         if (has_applied_ && pos <= applied_) return;  // stale checkpoint
         if (primary_) return;  // we are authoritative
-        app_->restore(snapshot);
+        app_->restore(checkpoint.snapshot);
         applied_ = pos;
         has_applied_ = true;
         // The checkpoint covers all requests with index < pos.index in its
@@ -120,11 +107,7 @@ private:
     };
 
     void send_checkpoint(StreamPos pos) {
-        Encoder e;
-        encode(e, pos.epoch);
-        encode(e, pos.index);
-        e.put_blob(app_->snapshot());
-        const Bytes body = std::move(e).take();
+        const Bytes body = encode_to_bytes(Checkpoint{pos, app_->snapshot()});
         for (const EndpointId member : members_) {
             if (member == nso_->id()) continue;
             const Ior* target =

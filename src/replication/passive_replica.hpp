@@ -23,6 +23,27 @@ namespace newtop {
 /// ORB method id of the checkpoint receiver object.
 inline constexpr std::uint32_t kCheckpointInstallMethod = 311;
 
+/// A position in the totally-ordered request stream: (view epoch, index of
+/// the request within that epoch).  Identical at every member because all
+/// members deliver the same requests in the same order per view.
+struct StreamPos {
+    ViewEpoch epoch{0};
+    std::uint64_t index{0};
+
+    friend auto operator<=>(const StreamPos&, const StreamPos&) = default;
+};
+
+void wire(auto& io, WireOf<StreamPos> auto& v) { io(v.epoch, v.index); }
+
+/// Argument of kCheckpointInstallMethod: the primary's state snapshot,
+/// covering every request before `pos`.
+struct Checkpoint {
+    StreamPos pos;
+    Bytes snapshot;
+};
+
+void wire(auto& io, WireOf<Checkpoint> auto& v) { io(v.pos, v.snapshot); }
+
 struct PassiveOptions {
     /// Ship a checkpoint to the backups after every N executed requests.
     std::uint32_t checkpoint_every{4};

@@ -10,7 +10,9 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -49,6 +51,18 @@ public:
     /// the wire message is released.
     BytesView get_blob_view();
 
+    /// Read `fields` in order: the decode side of a `wire` layout.
+    template <typename... Ts>
+    void operator()(Ts&... fields) {
+        (decode(*this, fields), ...);
+    }
+
+    /// Decode-side validation in a `wire` layout: reject the input unless
+    /// `ok`.
+    void check(bool ok, const char* what) {
+        if (!ok) throw DecodeError(what);
+    }
+
     /// True when the whole buffer has been consumed.
     [[nodiscard]] bool exhausted() const { return pos_ == size_; }
 
@@ -65,7 +79,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// decode(): mirror of encode().  Types provide `decode(Decoder&, T&)`.
+// decode(): mirror of encode(), overload for overload.
 // ---------------------------------------------------------------------------
 
 inline void decode(Decoder& d, std::uint8_t& v) { v = d.get_u8(); }
@@ -78,6 +92,46 @@ inline void decode(Decoder& d, bool& v) { v = d.get_bool(); }
 inline void decode(Decoder& d, double& v) { v = d.get_double(); }
 inline void decode(Decoder& d, std::string& v) { v = d.get_string(); }
 inline void decode(Decoder& d, Bytes& v) { v = d.get_blob(); }
+
+template <typename T>
+    requires requires(Decoder& d, T& v) { wire(d, v); }
+void decode(Decoder& d, T& v) {
+    wire(d, v);
+}
+
+/// One-byte enums are range-checked against `wire_max(E{})`, the highest
+/// valid enumerator, which each wire enum declares beside its definition.
+template <typename E>
+    requires std::is_enum_v<E>
+void decode(Decoder& d, E& v) {
+    const std::uint8_t raw = d.get_u8();
+    if (raw > static_cast<std::uint8_t>(wire_max(E{}))) {
+        throw DecodeError("enum value out of range");
+    }
+    v = static_cast<E>(raw);
+}
+
+namespace detail {
+/// Decodes into the alternative `v` already holds when it is T (as a fresh
+/// variant holds its first one) instead of rebuilding it: decoding
+/// overwrites every field.
+template <typename Variant, typename T>
+void decode_alternative(Decoder& d, Variant& v) {
+    T* held = std::get_if<T>(&v);
+    decode(d, held != nullptr ? *held : v.template emplace<T>());
+}
+}  // namespace detail
+
+/// Tag (alternative index + 1), then the alternative, decoded in place.
+template <typename... Ts>
+void decode(Decoder& d, std::variant<Ts...>& v) {
+    using Variant = std::variant<Ts...>;
+    static constexpr void (*kAlternatives[])(Decoder&, Variant&) = {
+        &detail::decode_alternative<Variant, Ts>...};
+    const std::uint8_t tag = d.get_u8();
+    if (tag == 0 || tag > sizeof...(Ts)) throw DecodeError("unknown variant tag");
+    kAlternatives[tag - 1](d, v);
+}
 
 template <typename T>
 void decode(Decoder& d, std::vector<T>& v) {

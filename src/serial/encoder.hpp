@@ -9,6 +9,16 @@
 // sequences, one byte per bool.  There is no alignment padding; the format
 // is private to this library.
 //
+// Struct layouts: a wire struct lists its fields once, as a `wire` function
+// found by ADL,
+//
+//     void wire(auto& io, WireOf<MsgRef> auto& v) { io(v.sender, v.seq); }
+//
+// and both directions run that one list: Encoder and Decoder are each
+// callable with the fields, writing or reading them in order.  Decode-side
+// validation rides in the same function as `io.check(ok, what)`, which
+// throws DecodeError on the decoder and does nothing on the encoder.
+//
 // Allocation discipline: the hot encode paths run once per simulated wire
 // message, so the encoder supports exact pre-sizing.  A *counting* encoder
 // (Encoder::counter()) runs the same encode() functions but only tallies
@@ -17,12 +27,15 @@
 // adopts a recycled buffer with enough capacity (see serial/arena.hpp).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -57,6 +70,16 @@ public:
     void put_string(std::string_view v);
     void put_blob(const Bytes& v);
     void put_blob(BytesView v);
+
+    /// Write `fields` in order: the encode side of a `wire` layout.
+    template <typename... Ts>
+    void operator()(const Ts&... fields) {
+        (encode(*this, fields), ...);
+    }
+
+    /// Decode-side validation in a `wire` layout; the encoder writes what it
+    /// is given.
+    void check(bool /*ok*/, const char* /*what*/) {}
 
     /// Append `n` raw bytes in one bulk write.
     void put_bytes(const std::uint8_t* data, std::size_t n);
@@ -100,10 +123,13 @@ private:
     bool counting_{false};
 };
 
+/// `v` in a `wire` layout: T itself when decoding, const T when encoding.
+template <typename Self, typename T>
+concept WireOf = std::same_as<std::remove_const_t<Self>, T>;
+
 // ---------------------------------------------------------------------------
-// encode(): the extension point.  Types become wire-encodable by providing a
-// free function `encode(Encoder&, const T&)` findable by ADL; the overloads
-// below cover primitives and standard containers of encodable types.
+// encode(): the overloads below cover primitives, one-byte enums, standard
+// containers, variants and every struct with a `wire` layout.
 // ---------------------------------------------------------------------------
 
 inline void encode(Encoder& e, std::uint8_t v) { e.put_u8(v); }
@@ -116,6 +142,29 @@ inline void encode(Encoder& e, bool v) { e.put_bool(v); }
 inline void encode(Encoder& e, double v) { e.put_double(v); }
 inline void encode(Encoder& e, const std::string& v) { e.put_string(v); }
 inline void encode(Encoder& e, const Bytes& v) { e.put_blob(v); }
+
+template <typename T>
+    requires requires(Encoder& e, const T& v) { wire(e, v); }
+void encode(Encoder& e, const T& v) {
+    wire(e, v);
+}
+
+/// Enums travel as one byte; the decoder range-checks them (decoder.hpp).
+template <typename E>
+    requires std::is_enum_v<E>
+void encode(Encoder& e, E v) {
+    static_assert(sizeof(E) == 1, "wire enums are one byte");
+    e.put_u8(static_cast<std::uint8_t>(v));
+}
+
+/// A variant travels as a one-byte tag, the alternative's index + 1, then
+/// the alternative.
+template <typename... Ts>
+void encode(Encoder& e, const std::variant<Ts...>& v) {
+    static_assert(sizeof...(Ts) < 256, "variant tag is one byte");
+    e.put_u8(static_cast<std::uint8_t>(v.index() + 1));
+    std::visit([&e](const auto& alternative) { encode(e, alternative); }, v);
+}
 
 template <typename T>
 void encode(Encoder& e, const std::vector<T>& v) {

@@ -668,19 +668,20 @@ TEST(GcsMessages, MultiAssignmentOrderRoundTripAndTruncationFuzz) {
         OrderMsg m;
         m.group = GroupId(rng.next_in(1, 9));
         m.epoch = rng.next_in(0, 5);
-        m.first_order = rng.next_in(0, 1000);
+        m.record.first_order = rng.next_in(0, 1000);
         const std::size_t refs = rng.next_in(1, 65);
         for (std::size_t i = 0; i < refs; ++i) {
-            m.refs.push_back(MsgRef{EndpointId(rng.next_in(1, 8)),
-                                    static_cast<Seqno>(rng.next_in(0, 500))});
+            m.record.refs.push_back(MsgRef{EndpointId(rng.next_in(1, 8)),
+                                           static_cast<Seqno>(rng.next_in(0, 500))});
         }
         const Bytes wire = encode_gcs_message(m);
         const GcsMessage out = decode_gcs_message(wire);
         const auto* decoded = std::get_if<OrderMsg>(&out);
         ASSERT_NE(decoded, nullptr);
-        EXPECT_EQ(decoded->first_order, m.first_order);
-        ASSERT_EQ(decoded->refs.size(), m.refs.size());
-        EXPECT_TRUE(std::equal(m.refs.begin(), m.refs.end(), decoded->refs.begin()));
+        EXPECT_EQ(decoded->record.first_order, m.record.first_order);
+        ASSERT_EQ(decoded->record.refs.size(), m.record.refs.size());
+        EXPECT_TRUE(std::equal(m.record.refs.begin(), m.record.refs.end(),
+                               decoded->record.refs.begin()));
         // Truncation fuzz: sample strict prefixes (all for short wires).
         for (std::size_t cut = 0; cut < wire.size();
              cut += 1 + rng.next_in(0, wire.size() / 16)) {

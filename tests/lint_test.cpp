@@ -263,6 +263,38 @@ TEST(LintCodec, PairSplitAcrossFilesIsMatched) {
     EXPECT_TRUE(findings.empty());
 }
 
+// --- struct-coverage over `wire` layouts -----------------------------------
+
+TEST(LintLayout, CompleteOrderedLayoutIsClean) {
+    EXPECT_TRUE(run_codec_fixture("layout_clean.cpp", "src/gcs/fixture.hpp").empty());
+}
+
+TEST(LintLayout, DroppedFieldIsCaught) {
+    const auto findings = run_codec_fixture("layout_dropped.cpp", "src/gcs/fixture.hpp");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, kRuleStructCoverage);
+    EXPECT_NE(findings[0].message.find("never touches declared field 'tag'"), std::string::npos)
+        << findings[0].message;
+}
+
+TEST(LintLayout, OutOfOrderFieldsAreCaught) {
+    const auto findings = run_codec_fixture("layout_swapped.cpp", "src/gcs/fixture.hpp");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, kRuleStructCoverage);
+    EXPECT_NE(findings[0].message.find("out of declaration order"), std::string::npos)
+        << findings[0].message;
+}
+
+TEST(LintLayout, UncheckableLayoutFormIsReported) {
+    const std::string content =
+        "struct WireOdd { std::uint32_t x; };\n"
+        "template <typename IO> void wire(IO& io, WireOdd& v) { io(v.x); }\n";
+    const auto findings = run_semantic_passes({{"src/gcs/odd.hpp", content}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, kRuleStructCoverage);
+    EXPECT_NE(findings[0].message.find("checked form"), std::string::npos);
+}
+
 // --- hot-path allocation discipline ---------------------------------------
 
 TEST(LintHotAlloc, EveryBannedConstructFires) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "net/calibration.hpp"
 #include "newtop/world.hpp"
+#include "replication/active_replica.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -196,6 +199,40 @@ TEST_F(OrbFixture, MalformedWireBytesAreDropped) {
     net.send(client_node, server_node, Bytes{0x07, 0x01});  // unknown type
     net.send(client_node, server_node, Bytes{});            // empty
     EXPECT_NO_THROW(scheduler.run());
+}
+
+// Regressions: a servant that cannot unmarshal its arguments throws
+// DecodeError.  That fails the one call, like a ServantError, and must not
+// unwind through the scheduler and abort the whole run.
+TEST(OrbMalformedArgs, TwoWayCallGetsAnException) {
+    World world(calibration::make_lan_topology(), 42);
+    NewTopService& nso = world.add_nso();
+    Orb& client = world.add_orb();
+    std::optional<ReplyStatus> status;
+    client.invoke(world.directory.nso_ior(nso.id()), kNsoJoinCsMethod, Bytes{0x01},
+                  [&](ReplyStatus s, const Bytes&) { status = s; }, 1_s);
+    EXPECT_NO_THROW(world.run_for(100_ms));
+    EXPECT_EQ(status, ReplyStatus::kException);
+}
+
+class NoState : public StatefulServant {
+public:
+    Bytes handle(std::uint32_t, const Bytes&) override { return {}; }
+    [[nodiscard]] Bytes snapshot() const override { return {}; }
+    void restore(const Bytes&) override {}
+};
+
+TEST(OrbMalformedArgs, OnewayIsDropped) {
+    World world(calibration::make_lan_topology(), 42);
+    NewTopService& nso = world.add_nso();
+    ActiveReplica replica(nso, "svc", GroupConfig{}, std::make_shared<NoState>());
+    Orb& client = world.add_orb();
+    const Ior* transfer =
+        world.directory.find_object("state:svc:" + std::to_string(nso.id().value()));
+    ASSERT_NE(transfer, nullptr);
+    client.invoke_oneway(*transfer, kStateRequestMethod, Bytes{0x01});
+    EXPECT_NO_THROW(world.run_for(100_ms));
+    EXPECT_TRUE(replica.synced());
 }
 
 TEST_F(OrbFixture, InvokeRequiresHandler) {

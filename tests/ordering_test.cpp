@@ -168,10 +168,7 @@ TEST(SequencerOrder, NonSequencerWaitsForOrderRecord) {
     order.on_data(data(kB, 0, 1));
     EXPECT_TRUE(order.take_deliverable().empty());
     EXPECT_FALSE(order.take_order_to_send().has_value());
-    OrderMsg om;
-    om.first_order = 0;
-    om.refs = {MsgRef{kB, 0}};
-    order.on_order(om);
+    order.on_order(OrderRecord{0, {MsgRef{kB, 0}}});
     EXPECT_EQ(order.take_deliverable().size(), 1u);
 }
 
@@ -179,10 +176,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
     SequencerOrder order({kA, kB, kC}, kC);
     order.on_data(data(kC, 0, 10));  // arrives first locally
     order.on_data(data(kB, 0, 5));
-    OrderMsg om;
-    om.first_order = 0;
-    om.refs = {MsgRef{kB, 0}, MsgRef{kC, 0}};  // sequencer saw B first
-    order.on_order(om);
+    order.on_order(OrderRecord{0, {MsgRef{kB, 0}, MsgRef{kC, 0}}});  // sequencer saw B first
     const auto batch = order.take_deliverable();
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].sender, kB);
@@ -191,10 +185,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
 
 TEST(SequencerOrder, OrderRecordBeforeDataHolds) {
     SequencerOrder order({kA, kB}, kB);
-    OrderMsg om;
-    om.first_order = 0;
-    om.refs = {MsgRef{kA, 0}};
-    order.on_order(om);
+    order.on_order(OrderRecord{0, {MsgRef{kA, 0}}});
     EXPECT_TRUE(order.take_deliverable().empty());
     order.on_data(data(kA, 0, 3));
     EXPECT_EQ(order.take_deliverable().size(), 1u);
@@ -310,10 +301,7 @@ TEST(SequencerOrder, PendingCountCoversDisjointSets) {
     order.on_data(data(kC, 0, 1));
     EXPECT_EQ(order.pending_count(), 1u);
     // Assignment for a *different* message whose data has not arrived.
-    OrderMsg om;
-    om.first_order = 0;
-    om.refs = {MsgRef{kB, 7}};
-    order.on_order(om);
+    order.on_order(OrderRecord{0, {MsgRef{kB, 7}}});
     EXPECT_EQ(order.pending_count(), 2u);  // disjoint: 1 data + 1 assignment
     // Once the assignment's data arrives and delivers, only the unordered
     // data message remains pending.

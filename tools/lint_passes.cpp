@@ -59,6 +59,7 @@ struct CodecDef {
     std::string type;  // last identifier of the value parameter's type
     bool is_encode = false;
     std::vector<CodecOp> ops;
+    bool is_layout = false;  // a `wire` layout (both directions), not a codec
 };
 
 constexpr std::array<std::string_view, 10> kOpWidths = {
@@ -198,6 +199,99 @@ void extract_codecs(const std::string& file, const std::vector<Token>& t,
                 continue;
             }
             stmt.push_back(t[b]);
+        }
+        out.push_back(std::move(def));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Layout extraction.
+//
+// A layout is a wire struct's one field list, which the encoder and the
+// decoder both run:
+//     void wire(auto& io, WireOf<T> auto& v) { io(v.a, v.b); io.check(...); }
+// Its ops are the arguments of the `io(...)` calls, in order; each should be
+// a plain `v.field`.  Other statements (`io.check(...)`) touch no field.
+// ---------------------------------------------------------------------------
+
+/// Index of the ')' matching the '(' at `open`, or t.size() if unbalanced.
+std::size_t matching_paren(const std::vector<Token>& t, std::size_t open) {
+    int depth = 0;
+    for (std::size_t k = open; k < t.size(); ++k) {
+        if (is_punct(t[k], "(")) ++depth;
+        if (is_punct(t[k], ")") && --depth == 0) return k;
+    }
+    return t.size();
+}
+
+/// Split the tokens strictly between `open` and `close` at top-level commas
+/// (nested (), <> and {} kept whole).
+std::vector<std::vector<Token>> split_args(const std::vector<Token>& t, std::size_t open,
+                                           std::size_t close) {
+    std::vector<std::vector<Token>> args(1);
+    int depth = 0;
+    for (std::size_t k = open + 1; k < close; ++k) {
+        if (is_punct(t[k], "(") || is_punct(t[k], "<") || is_punct(t[k], "{")) ++depth;
+        if (is_punct(t[k], ")") || is_punct(t[k], ">") || is_punct(t[k], "}")) --depth;
+        if (depth == 0 && is_punct(t[k], ",")) {
+            args.emplace_back();
+            continue;
+        }
+        args.back().push_back(t[k]);
+    }
+    return args;
+}
+
+void extract_layouts(const std::string& file, const std::vector<Token>& t,
+                     std::vector<CodecDef>& out, std::vector<Finding>& findings) {
+    for (std::size_t i = 1; i + 1 < t.size(); ++i) {
+        if (!is_ident(t[i], "wire") || !is_punct(t[i + 1], "(") || !is_ident(t[i - 1], "void")) {
+            continue;
+        }
+        const std::size_t close = matching_paren(t, i + 1);
+        if (close + 1 >= t.size() || !is_punct(t[close + 1], "{")) continue;  // declaration
+
+        // Parameters: `auto& io, WireOf<T> auto& v`.
+        const auto params = split_args(t, i + 1, close);
+        std::string io;
+        std::string type;
+        std::string param;
+        if (params.size() == 2 && !params[0].empty() && !params[1].empty() &&
+            params[0].back().kind == TokKind::kIdentifier &&
+            params[1].back().kind == TokKind::kIdentifier) {
+            io = params[0].back().text;
+            param = params[1].back().text;
+            const auto& p = params[1];
+            for (std::size_t k = 0; k + 1 < p.size(); ++k) {
+                if (!is_ident(p[k], "WireOf") || !is_punct(p[k + 1], "<")) continue;
+                for (std::size_t a = k + 2; a < p.size() && !is_punct(p[a], ">"); ++a) {
+                    if (p[a].kind == TokKind::kIdentifier) type = p[a].text;
+                }
+                break;
+            }
+        }
+        if (type.empty()) {
+            findings.push_back({file, t[i].line, std::string(kRuleStructCoverage),
+                                "wire layout is not in the checked form "
+                                "'void wire(auto& io, WireOf<T> auto& v)'"});
+            continue;
+        }
+
+        CodecDef def{file, t[i].line, type, false, {}, true};
+        int depth = 0;
+        for (std::size_t b = close + 1; b < t.size(); ++b) {
+            if (is_punct(t[b], "{")) ++depth;
+            if (is_punct(t[b], "}") && --depth == 0) break;
+            if (!is_ident(t[b], io) || b + 1 >= t.size() || !is_punct(t[b + 1], "(")) continue;
+            if (is_punct(t[b - 1], ".") || is_punct(t[b - 1], "->")) continue;
+            const std::size_t call_close = matching_paren(t, b + 1);
+            for (const auto& arg : split_args(t, b + 1, call_close)) {
+                const bool plain_field = arg.size() == 3 && is_ident(arg[0], param) &&
+                                         is_punct(arg[1], ".") &&
+                                         arg[2].kind == TokKind::kIdentifier;
+                def.ops.push_back({"field", plain_field ? arg[2].text : "", t[b].line});
+            }
+            b = call_close;
         }
         out.push_back(std::move(def));
     }
@@ -353,7 +447,7 @@ void check_coverage(const std::vector<CodecDef>& codecs, const std::vector<Struc
         const auto it = by_name.find(def.type);
         if (it == by_name.end() || it->second.size() != 1) continue;  // no/ambiguous struct
         const StructDef& s = *it->second.front();
-        const char* side = def.is_encode ? "encode" : "decode";
+        const char* side = def.is_layout ? "wire" : def.is_encode ? "encode" : "decode";
 
         std::vector<std::string> touched;
         bool attributable = true;
@@ -424,7 +518,9 @@ void check_coverage(const std::vector<CodecDef>& codecs, const std::vector<Struc
 
 std::vector<Finding> run_semantic_passes(const std::vector<SourceFile>& files) {
     std::vector<CodecDef> codecs;
+    std::vector<CodecDef> layouts;
     std::vector<StructDef> structs;
+    std::vector<Finding> raw;
     std::map<std::string, Suppressions> sup_by_file;
     for (const SourceFile& f : files) {
         const bool codec_scope = has_prefix_in(f.rel_path, kCodecScopeDirs);
@@ -432,13 +528,16 @@ std::vector<Finding> run_semantic_passes(const std::vector<SourceFile>& files) {
         if (!struct_scope) continue;
         const Lexed lx = lex(f.content);
         sup_by_file.emplace(f.rel_path, parse_suppressions(lx));
-        if (codec_scope) extract_codecs(f.rel_path, lx.tokens, codecs);
+        if (codec_scope) {
+            extract_codecs(f.rel_path, lx.tokens, codecs);
+            extract_layouts(f.rel_path, lx.tokens, layouts, raw);
+        }
         extract_structs(f.rel_path, lx.tokens, structs);
     }
 
-    std::vector<Finding> raw;
     check_symmetry(codecs, raw);
     check_coverage(codecs, structs, raw);
+    check_coverage(layouts, structs, raw);
 
     std::vector<Finding> out;
     for (Finding& f : raw) {

@@ -125,12 +125,14 @@ inline constexpr std::string_view kMetricTableFile = "src/obs/names.hpp";
 // hot-path allocation discipline.
 // ---------------------------------------------------------------------------
 
-/// Directories holding wire codecs — free functions
-/// `encode(Encoder&, const T&)` / `decode(Decoder&, T&)` (and the
-/// `*_body` variant-member forms).  codec-symmetry pairs every encode with
-/// its decode across these files and compares the ordered op sequences;
-/// struct-coverage additionally checks each codec against T's declared
-/// field list.
+/// Directories holding wire formats.  A wire struct declares its layout
+/// once, as `void wire(auto& io, WireOf<T> auto& v) { io(v.a, v.b); }`,
+/// which the encoder and the decoder both run; struct-coverage checks each
+/// layout against T's declared field list (every field once, in order).
+/// Hand-written `encode(Encoder&, const T&)` / `decode(Decoder&, T&)` pairs
+/// (the primitive codecs in src/serial/) are still paired by
+/// codec-symmetry, which compares their ordered op sequences, and checked
+/// by struct-coverage the same way.
 inline constexpr std::array<std::string_view, 4> kCodecScopeDirs = {
     "src/serial/", "src/gcs/", "src/orb/", "src/invocation/",
 };
