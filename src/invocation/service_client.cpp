@@ -23,7 +23,7 @@ constexpr SimDuration kBackoffBase = 250_ms;
 constexpr SimDuration kBackoffCap = 4_s;
 
 /// Per-mode reply-wait histogram names (issue to handler completion).
-std::string_view reply_wait_metric(InvocationMode mode) {
+obs::MetricId reply_wait_metric(InvocationMode mode) {
     switch (mode) {
         case InvocationMode::kOneWay: return obs::metric::kInvReplyWaitOneway;
         case InvocationMode::kWaitFirst: return obs::metric::kInvReplyWaitFirst;

@@ -33,15 +33,17 @@ void Network::enable_gauge_sampling(SimDuration interval, SimDuration horizon) {
     }
 }
 
-const Network::LinkCounterNames& Network::link_counters(SiteId from, SiteId to) {
+const Network::LinkCounters& Network::link_counters(SiteId from, SiteId to) {
     const auto key = std::make_pair(from, to);
-    auto it = link_counter_names_.find(key);
-    if (it == link_counter_names_.end()) {
-        const std::string prefix = std::string(obs::metric::kNetLinkPrefix) + std::to_string(from.value()) + "->" +
+    auto it = link_counters_.find(key);
+    if (it == link_counters_.end()) {
+        const std::string prefix = std::string(obs::metric::kNetLinkPrefix) +
+                                   std::to_string(from.value()) + "->" +
                                    std::to_string(to.value());
-        it = link_counter_names_
-                 .emplace(key, LinkCounterNames{prefix + ".messages", prefix + ".bytes",
-                                                prefix + ".drops"})
+        it = link_counters_
+                 .emplace(key, LinkCounters{metrics_.intern(prefix + ".messages"),
+                                            metrics_.intern(prefix + ".bytes"),
+                                            metrics_.intern(prefix + ".drops")})
                  .first;
     }
     return it->second;
@@ -66,7 +68,7 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     stats_.bytes_sent += payload.size();
     metrics_.add(obs::metric::kNetMessagesSent);
     metrics_.add(obs::metric::kNetBytesSent, payload.size());
-    const LinkCounterNames& counters = link_counters(src.site(), dst.site());
+    const LinkCounters& counters = link_counters(src.site(), dst.site());
     metrics_.add(counters.messages);
     metrics_.add(counters.bytes, payload.size());
 

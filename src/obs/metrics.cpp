@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <ranges>
 
 namespace newtop::obs {
 
@@ -66,31 +68,63 @@ void LatencyHistogram::append_json(std::string& out) const {
 
 // -- MetricsRegistry ----------------------------------------------------------
 
-void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-    const auto it = counters_.find(name);
-    if (it != counters_.end()) {
-        it->second += delta;
-    } else {
-        counters_.emplace(std::string(name), delta);
+namespace {
+
+/// The table ids in name order, for lookups by name.
+constexpr auto kTableByName = [] {
+    std::array<MetricId, kMetricTableSize> ids{};
+    for (std::uint32_t i = 0; i < kMetricTableSize; ++i) ids[i] = MetricId{i, kMetricTable[i]};
+    std::sort(ids.begin(), ids.end(),
+              [](const MetricId& a, const MetricId& b) { return a.name < b.name; });
+    return ids;
+}();
+
+constexpr bool table_names_unique() {
+    for (std::size_t i = 1; i < kTableByName.size(); ++i) {
+        if (kTableByName[i - 1].name == kTableByName[i].name) return false;
     }
+    return true;
+}
+static_assert(table_names_unique(), "kMetricTable lists a name twice");
+
+/// Append `"name":` to `out`.
+void append_key(std::string& out, std::string_view name) {
+    out += '"';
+    out += name;
+    out += "\":";
+}
+
+}  // namespace
+
+MetricsRegistry::MetricsRegistry() : counters_(kMetricTableSize), histograms_(kMetricTableSize) {}
+
+const MetricId* MetricsRegistry::find(std::string_view name) const {
+    const auto it = std::lower_bound(
+        kTableByName.begin(), kTableByName.end(), name,
+        [](const MetricId& id, std::string_view key) { return id.name < key; });
+    if (it != kTableByName.end() && it->name == name) return &*it;
+    const auto interned = interned_.find(name);
+    return interned == interned_.end() ? nullptr : &interned->second;
+}
+
+MetricId MetricsRegistry::intern(std::string_view name) {
+    if (const MetricId* id = find(name)) return *id;
+    const MetricId id{static_cast<std::uint32_t>(counters_.size()),
+                      interned_names_.emplace_back(name)};
+    interned_.emplace(id.name, id);
+    counters_.emplace_back();
+    histograms_.emplace_back();
+    return id;
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void MetricsRegistry::observe(std::string_view name, SimDuration value) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(std::string(name), LatencyHistogram{}).first;
-    }
-    it->second.record(value);
+    const MetricId* id = find(name);
+    return id == nullptr ? 0 : counters_[id->index].value;
 }
 
 const LatencyHistogram* MetricsRegistry::histogram(std::string_view name) const {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
+    const MetricId* id = find(name);
+    return id == nullptr ? nullptr : histograms_[id->index].get();
 }
 
 GaugeHandle MetricsRegistry::register_gauge(std::string_view name, GaugeFn fn) {
@@ -126,25 +160,33 @@ const std::vector<std::pair<SimTime, std::uint64_t>>* MetricsRegistry::series(
 }
 
 std::string MetricsRegistry::to_json() const {
+    // Every id that was ever recorded, in name order (the table's and the
+    // interned names interleave).
+    const auto interned = std::views::values(interned_);
+    std::vector<MetricId> ids;
+    ids.reserve(kTableByName.size() + interned_.size());
+    std::merge(kTableByName.begin(), kTableByName.end(), interned.begin(), interned.end(),
+               std::back_inserter(ids),
+               [](const MetricId& a, const MetricId& b) { return a.name < b.name; });
     std::string out = "{\"counters\":{";
     bool first = true;
-    for (const auto& [name, value] : counters_) {
+    for (const MetricId& id : ids) {
+        const Counter& c = counters_[id.index];
+        if (!c.touched) continue;
         if (!first) out += ',';
         first = false;
-        out += '"';
-        out += name;
-        out += "\":";
-        out += std::to_string(value);
+        append_key(out, id.name);
+        out += std::to_string(c.value);
     }
     out += "},\"histograms\":{";
     first = true;
-    for (const auto& [name, histogram] : histograms_) {
+    for (const MetricId& id : ids) {
+        const LatencyHistogram* h = histograms_[id.index].get();
+        if (h == nullptr) continue;
         if (!first) out += ',';
         first = false;
-        out += '"';
-        out += name;
-        out += "\":";
-        histogram.append_json(out);
+        append_key(out, id.name);
+        h->append_json(out);
     }
     out += '}';
     // Emitted only when samples exist, so worlds without gauge sampling

@@ -2,21 +2,27 @@
 //
 // One MetricsRegistry exists per simulated world (owned by the Network) and
 // is shared by every layer — CPU queues, the network, the ORB, the group
-// communication endpoints and the invocation layer.  Everything is keyed by
-// simulated time and stored in ordered maps, so two runs from the same seed
-// produce byte-identical to_json() output; there is no wall clock anywhere.
+// communication endpoints and the invocation layer.  Counters and
+// histograms live in arrays indexed by MetricId (obs/names.hpp), so the
+// per-message paths never look a name up; to_json() emits them sorted by
+// name, so two runs from the same seed produce byte-identical output.
+// Everything is keyed by simulated time; there is no wall clock anywhere.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/names.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 #include "util/time.hpp"
 
 namespace newtop::obs {
@@ -69,23 +75,43 @@ using GaugeHandle = std::uint64_t;
 
 class MetricsRegistry {
 public:
-    /// Increment counter `name` by `delta` (creating it at zero).
-    void add(std::string_view name, std::uint64_t delta = 1);
+    MetricsRegistry();
+
+    /// The id of `name`: its table id, or the id this registry interned it
+    /// under (interning it now if it is new).  Names composed at runtime
+    /// are interned once, when they are created, and used by id after.
+    MetricId intern(std::string_view name);
+
+    /// Increment counter `id` by `delta` (creating it at zero; a zero delta
+    /// still creates it).
+    void add(MetricId id, std::uint64_t delta = 1) {
+        NEWTOP_EXPECTS(id.index < counters_.size(), "metric id interned by another registry");
+        Counter& c = counters_[id.index];
+        c.value += delta;
+        c.touched = true;
+    }
+    void add(std::string_view name, std::uint64_t delta = 1) { add(intern(name), delta); }
 
     /// Current value of a counter; 0 if it was never incremented.
     [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 
-    /// Record `value` into histogram `name` (negative values clamp to 0).
-    void observe(std::string_view name, SimDuration value);
+    /// Record `value` into histogram `id` (negative values clamp to 0).
+    void observe(MetricId id, SimDuration value) {
+        NEWTOP_EXPECTS(id.index < histograms_.size(), "metric id interned by another registry");
+        std::unique_ptr<LatencyHistogram>& h = histograms_[id.index];
+        if (h == nullptr) h = std::make_unique<LatencyHistogram>();
+        h->record(value);
+    }
+    void observe(std::string_view name, SimDuration value) { observe(intern(name), value); }
 
     /// The named histogram, or nullptr if nothing was observed under it.
     [[nodiscard]] const LatencyHistogram* histogram(std::string_view name) const;
 
     /// Everything, as one deterministic JSON object:
     ///   {"counters":{...},"histograms":{...}}
-    /// plus a "series" member when any time series has samples.
-    /// Ordered-map iteration plus integer-only fields make the string a
-    /// pure function of the recorded data.
+    /// plus a "series" member when any time series has samples.  Names
+    /// appear in byte order and every field is an integer, so the string
+    /// is a pure function of the recorded data.
     [[nodiscard]] std::string to_json() const;
 
     // -- time series ---------------------------------------------------------
@@ -142,9 +168,22 @@ private:
         std::string name;
         GaugeFn fn;
     };
+    struct Counter {
+        std::uint64_t value{0};
+        bool touched{false};
+    };
 
-    std::map<std::string, std::uint64_t, std::less<>> counters_;
-    std::map<std::string, LatencyHistogram, std::less<>> histograms_;
+    /// The id of `name` if it is a table name or was interned here.
+    [[nodiscard]] const MetricId* find(std::string_view name) const;
+
+    /// Indexed by MetricId::index; an untouched counter, or a null
+    /// histogram, has never been recorded and stays out of to_json().
+    std::vector<Counter> counters_;
+    std::vector<std::unique_ptr<LatencyHistogram>> histograms_;
+    /// Names interned past the table, in id order (a deque keeps the
+    /// MetricId names that view them valid), and their ids by name.
+    std::deque<std::string> interned_names_;
+    std::map<std::string_view, MetricId, std::less<>> interned_;
     std::map<std::string, std::vector<std::pair<SimTime, std::uint64_t>>, std::less<>> series_;
     std::map<GaugeHandle, Gauge> gauges_;
     GaugeHandle next_gauge_{1};

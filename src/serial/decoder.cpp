@@ -4,31 +4,6 @@
 
 namespace newtop {
 
-void Decoder::require(std::size_t n) const {
-    if (size_ - pos_ < n) throw DecodeError("truncated input");
-}
-
-std::uint8_t Decoder::get_u8() {
-    require(1);
-    return data_[pos_++];
-}
-
-std::uint64_t Decoder::get_le(std::size_t n) {
-    require(n);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += n;
-    return v;
-}
-
-bool Decoder::get_bool() {
-    const std::uint8_t v = get_u8();
-    if (v > 1) throw DecodeError("invalid bool encoding");
-    return v == 1;
-}
-
 double Decoder::get_double() {
     const std::uint64_t bits = get_u64();
     double v;

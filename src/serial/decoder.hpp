@@ -5,7 +5,10 @@
 // run-time errors early).  Decoders never copy the input buffer.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/strong_id.hpp"
 
 namespace newtop {
 
@@ -34,13 +38,20 @@ public:
     /// buffer); the view's owner keeps the storage alive while decoding.
     explicit Decoder(BytesView buf) : data_(buf.data()), size_(buf.size()) {}
 
-    std::uint8_t get_u8();
-    std::uint16_t get_u16() { return static_cast<std::uint16_t>(get_le(2)); }
-    std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le(4)); }
-    std::uint64_t get_u64() { return get_le(8); }
+    std::uint8_t get_u8() {
+        require(1);
+        return data_[pos_++];
+    }
+    std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
+    std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
     std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-    bool get_bool();
+    bool get_bool() {
+        const std::uint8_t v = get_u8();
+        if (v > 1) throw DecodeError("invalid bool encoding");
+        return v == 1;
+    }
     double get_double();
     // newtop-lint: allow(hot-path-alloc): control-plane only; data-plane payload reads use get_blob_view
     std::string get_string();
@@ -70,8 +81,25 @@ public:
     [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
 private:
-    std::uint64_t get_le(std::size_t n);
-    void require(std::size_t n) const;
+    /// One little-endian fixed-width integer, whatever the host's order.
+    template <typename T>
+    T get_le() {
+        require(sizeof(T));
+        T v = 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&v, data_ + pos_, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i) {
+                v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+            }
+        }
+        pos_ += sizeof(T);
+        return v;
+    }
+
+    void require(std::size_t n) const {
+        if (size_ - pos_ < n) throw DecodeError("truncated input");
+    }
 
     const std::uint8_t* data_;
     std::size_t size_;
@@ -133,11 +161,87 @@ void decode(Decoder& d, std::variant<Ts...>& v) {
     kAlternatives[tag - 1](d, v);
 }
 
+/// The fewest bytes any encoding of a T occupies.  Sequence decoders bound
+/// a claimed element count by it before they reserve, so a short hostile
+/// frame cannot make them claim memory its bytes could never fill.
+template <typename T>
+std::size_t min_wire_size();
+
+/// A `wire` layout's io that sums each field's minimum size.  (It lives in
+/// namespace newtop so the layouts beside each struct are found by ADL.)
+struct MinWireSizer {
+    std::size_t size{0};
+
+    template <typename... Ts>
+    void operator()(const Ts&... /*fields*/) {
+        size += (std::size_t{0} + ... + min_wire_size<Ts>());
+    }
+    void check(bool /*ok*/, const char* /*what*/) {}
+};
+
+namespace detail {
+template <typename T>
+    requires std::is_arithmetic_v<T>
+std::size_t min_size_of(const T* /*tag*/) {
+    return std::is_same_v<T, bool> ? 1 : sizeof(T);
+}
+template <typename E>
+    requires std::is_enum_v<E>
+std::size_t min_size_of(const E* /*tag*/) {
+    return 1;
+}
+inline std::size_t min_size_of(const std::string* /*tag*/) { return 4; }
+template <typename T>
+std::size_t min_size_of(const std::vector<T>* /*tag*/) {
+    return 4;
+}
+template <typename K, typename V>
+std::size_t min_size_of(const std::map<K, V>* /*tag*/) {
+    return 4;
+}
+template <typename T>
+std::size_t min_size_of(const std::optional<T>* /*tag*/) {
+    return 1;
+}
+template <typename A, typename B>
+std::size_t min_size_of(const std::pair<A, B>* /*tag*/) {
+    return min_wire_size<A>() + min_wire_size<B>();
+}
+template <typename... Ts>
+std::size_t min_size_of(const std::variant<Ts...>* /*tag*/) {
+    return 1 + std::min({min_wire_size<Ts>()...});
+}
+template <typename Tag, typename Rep>
+std::size_t min_size_of(const StrongId<Tag, Rep>* /*tag*/) {
+    return min_wire_size<Rep>();
+}
+template <typename T>
+    requires requires(MinWireSizer& io, const T& v) { wire(io, v); }
+std::size_t min_size_of(const T* /*tag*/) {
+    MinWireSizer io;
+    const T value{};
+    wire(io, value);
+    return io.size;
+}
+}  // namespace detail
+
+template <typename T>
+std::size_t min_wire_size() {
+    static const std::size_t size = detail::min_size_of(static_cast<const T*>(nullptr));
+    return size;
+}
+
+/// Reject a claimed count of `n` elements, each at least `element_size`
+/// bytes, that the rest of the input cannot hold.
+inline void check_sequence_length(const Decoder& d, std::uint32_t n, std::size_t element_size,
+                                  const char* what) {
+    if (n > d.remaining() / std::max<std::size_t>(element_size, 1)) throw DecodeError(what);
+}
+
 template <typename T>
 void decode(Decoder& d, std::vector<T>& v) {
     const std::uint32_t n = d.get_u32();
-    // Guard against hostile lengths: each element needs at least one byte.
-    if (n > d.remaining()) throw DecodeError("sequence length exceeds input");
+    check_sequence_length(d, n, min_wire_size<T>(), "sequence length exceeds input");
     v.clear();
     v.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -167,7 +271,8 @@ void decode(Decoder& d, std::pair<A, B>& v) {
 template <typename K, typename V>
 void decode(Decoder& d, std::map<K, V>& v) {
     const std::uint32_t n = d.get_u32();
-    if (n > d.remaining()) throw DecodeError("map length exceeds input");
+    check_sequence_length(d, n, min_wire_size<K>() + min_wire_size<V>(),
+                          "map length exceeds input");
     v.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
         K key;

@@ -157,13 +157,42 @@ void encode(Encoder& e, E v) {
     e.put_u8(static_cast<std::uint8_t>(v));
 }
 
+/// One alternative of `Variant`, to be encoded exactly as a Variant holding
+/// it encodes, without building the Variant (and copying the value in).
+template <typename Variant, typename T>
+struct AsAlternative {
+    const T& value;
+};
+
+namespace detail {
+/// Index of T among Ts (T must occur exactly once).
+template <typename T, typename... Ts>
+consteval std::size_t alternative_index() {
+    constexpr bool kMatch[] = {std::is_same_v<T, Ts>...};
+    static_assert((std::size_t{0} + ... + std::size_t{std::is_same_v<T, Ts>}) == 1,
+                  "T must be exactly one of the variant's alternatives");
+    std::size_t i = 0;
+    while (!kMatch[i]) ++i;
+    return i;
+}
+}  // namespace detail
+
 /// A variant travels as a one-byte tag, the alternative's index + 1, then
 /// the alternative.
+template <typename... Ts, typename T>
+void encode(Encoder& e, AsAlternative<std::variant<Ts...>, T> v) {
+    static_assert(sizeof...(Ts) < 256, "variant tag is one byte");
+    e.put_u8(static_cast<std::uint8_t>(detail::alternative_index<T, Ts...>() + 1));
+    encode(e, v.value);
+}
+
 template <typename... Ts>
 void encode(Encoder& e, const std::variant<Ts...>& v) {
-    static_assert(sizeof...(Ts) < 256, "variant tag is one byte");
-    e.put_u8(static_cast<std::uint8_t>(v.index() + 1));
-    std::visit([&e](const auto& alternative) { encode(e, alternative); }, v);
+    std::visit(
+        [&e]<typename T>(const T& alternative) {
+            encode(e, AsAlternative<std::variant<Ts...>, T>{alternative});
+        },
+        v);
 }
 
 template <typename T>

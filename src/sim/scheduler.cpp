@@ -32,10 +32,8 @@ TimerId Scheduler::schedule_at(SimTime at, std::function<void()> fn) {
         free_slots_.pop_back();
     }
     Slot& s = slots_[slot];
-    s.at = std::max(at, now_);
-    s.seq = next_seq_++;
     s.fn = std::move(fn);
-    heap_.push_back(slot);
+    heap_.push_back(Entry{std::max(at, now_), next_seq_++, slot});
     sift_up(heap_.size() - 1);
     return pack_id(slot, s.generation);
 }
@@ -55,39 +53,39 @@ void Scheduler::cancel(TimerId id) {
     erase_at(s.heap_pos);
 }
 
-void Scheduler::place(std::size_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+void Scheduler::place(std::size_t pos, const Entry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
 void Scheduler::sift_up(std::size_t pos) {
-    const std::uint32_t slot = heap_[pos];
+    const Entry entry = heap_[pos];
     while (pos > 0) {
         const std::size_t parent = (pos - 1) / 2;
-        if (!earlier(slot, heap_[parent])) break;
+        if (!earlier(entry, heap_[parent])) break;
         place(pos, heap_[parent]);
         pos = parent;
     }
-    place(pos, slot);
+    place(pos, entry);
 }
 
 void Scheduler::sift_down(std::size_t pos) {
-    const std::uint32_t slot = heap_[pos];
+    const Entry entry = heap_[pos];
     const std::size_t n = heap_.size();
     while (true) {
         std::size_t child = 2 * pos + 1;
         if (child >= n) break;
         if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-        if (!earlier(heap_[child], slot)) break;
+        if (!earlier(heap_[child], entry)) break;
         place(pos, heap_[child]);
         pos = child;
     }
-    place(pos, slot);
+    place(pos, entry);
 }
 
 std::function<void()> Scheduler::erase_at(std::size_t pos) {
-    const std::uint32_t slot = heap_[pos];
-    const std::uint32_t last = heap_.back();
+    const std::uint32_t slot = heap_[pos].slot;
+    const Entry last = heap_.back();
     heap_.pop_back();
     if (pos < heap_.size()) {
         place(pos, last);
@@ -101,7 +99,7 @@ std::function<void()> Scheduler::erase_at(std::size_t pos) {
 }
 
 void Scheduler::run_head() {
-    now_ = slots_[heap_.front()].at;
+    now_ = heap_.front().at;
     // The handler leaves its slot before it runs: the slot is free for any
     // event the handler schedules, and cancelling this event's own id from
     // inside the handler is a no-op.
@@ -122,7 +120,7 @@ std::size_t Scheduler::run(std::size_t limit) {
 }
 
 void Scheduler::run_until(SimTime deadline) {
-    while (!heap_.empty() && slots_[heap_.front()].at <= deadline) run_head();
+    while (!heap_.empty() && heap_.front().at <= deadline) run_head();
     now_ = std::max(now_, deadline);
 }
 

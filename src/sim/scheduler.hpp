@@ -5,10 +5,13 @@
 // run in scheduling order, which (together with the seeded RNG) makes whole
 // experiments deterministic.
 //
-// Events live in a slab of recycled slots; an indexed binary heap of slot
-// indices orders them by (time, scheduling order).  Cancelling removes the
-// event from the heap at once, so memory tracks the live events only — not
-// the history of timers that were armed and disarmed along the way.
+// Events live in a slab of recycled slots; an indexed binary heap orders
+// them by (time, scheduling order).  Each heap entry carries its own
+// (time, order) key beside its slot index, so a sift compares contiguous
+// entries and touches a slot only to record the entry's new position.
+// Cancelling removes the event from the heap at once, so memory tracks the
+// live events only — not the history of timers that were armed and
+// disarmed along the way.
 #pragma once
 
 #include <cstdint>
@@ -64,19 +67,22 @@ public:
 
 private:
     struct Slot {
-        SimTime at{0};
-        std::uint64_t seq{0};           // FIFO tie-break for equal timestamps
-        std::uint32_t generation{0};    // bumped each time the slot is freed
-        std::uint32_t heap_pos{0};      // index into heap_ while pending
+        std::uint32_t generation{0};  // bumped each time the slot is freed
+        std::uint32_t heap_pos{0};    // index into heap_ while pending
         std::function<void()> fn;
     };
 
-    [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const {
-        const Slot& x = slots_[a];
-        const Slot& y = slots_[b];
+    /// A pending event's heap entry: its ordering key and its slot.
+    struct Entry {
+        SimTime at;
+        std::uint64_t seq;  // FIFO tie-break for equal timestamps
+        std::uint32_t slot;
+    };
+
+    [[nodiscard]] static bool earlier(const Entry& x, const Entry& y) {
         return x.at != y.at ? x.at < y.at : x.seq < y.seq;
     }
-    void place(std::size_t pos, std::uint32_t slot);
+    void place(std::size_t pos, const Entry& entry);
     void sift_up(std::size_t pos);
     void sift_down(std::size_t pos);
     /// Remove the heap entry at `pos`, return its slot to the free list and
@@ -89,7 +95,7 @@ private:
     std::uint64_t next_seq_{0};
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
-    std::vector<std::uint32_t> heap_;  // slot indices, min-heap on (at, seq)
+    std::vector<Entry> heap_;  // min-heap on (at, seq)
 };
 
 }  // namespace newtop

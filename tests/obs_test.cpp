@@ -11,6 +11,7 @@
 #include "net/calibration.hpp"
 #include "newtop/world.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace newtop {
@@ -120,6 +121,55 @@ TEST(MetricsRegistry, JsonIsAPureFunctionOfTheData) {
     EXPECT_NE(a.find("\"histograms\""), std::string::npos);
     EXPECT_NE(a.find("\"a\":1"), std::string::npos);
     EXPECT_NE(a.find("\"b\":2"), std::string::npos);
+}
+
+TEST(MetricsRegistry, IdPathAndNamePathWriteTheSameJson) {
+    // "gcs.data_sent.x" is composed at runtime and sorts between the table
+    // names "gcs.data_sent" and "gcs.delivered".
+    obs::MetricsRegistry by_id;
+    const obs::MetricId runtime = by_id.intern("gcs.data_sent.x");
+    EXPECT_GE(runtime.index, obs::kMetricTableSize);
+    EXPECT_EQ(by_id.intern("gcs.data_sent.x").index, runtime.index);
+    EXPECT_EQ(by_id.intern(obs::metric::kGcsDelivered).index, obs::metric::kGcsDelivered.index);
+    by_id.add(obs::metric::kGcsDelivered, 4);
+    by_id.add(obs::metric::kGcsDataSent);
+    by_id.add(runtime, 0);  // a zero delta still creates the counter
+    by_id.add(obs::metric::kGcsDataSent, 2);
+    by_id.observe(obs::metric::kGcsDeliveryLatencyUs, 250);
+    by_id.observe(runtime, 3);
+
+    obs::MetricsRegistry by_name;
+    by_name.add("gcs.delivered", 4);
+    by_name.add("gcs.data_sent");
+    by_name.add("gcs.data_sent.x", 0);
+    by_name.add("gcs.data_sent", 2);
+    by_name.observe("gcs.delivery_latency_us", 250);
+    by_name.observe("gcs.data_sent.x", 3);
+
+    EXPECT_EQ(by_id.to_json(), by_name.to_json());
+    const std::string json = by_id.to_json();
+    EXPECT_EQ(json.substr(0, json.find('}') + 1),
+              "{\"counters\":{\"gcs.data_sent\":3,\"gcs.data_sent.x\":0,\"gcs.delivered\":4}");
+    EXPECT_LT(json.find("\"gcs.data_sent.x\":{"), json.find("\"gcs.delivery_latency_us\":{"));
+
+    // Lookups by string_view find table names and interned names alike.
+    const std::string_view table_name = obs::metric::kGcsDataSent;
+    EXPECT_EQ(by_id.counter(table_name), 3u);
+    EXPECT_EQ(by_id.counter(std::string("gcs.data_sent.x")), 0u);
+    EXPECT_EQ(by_id.counter("gcs.never_recorded"), 0u);
+    ASSERT_NE(by_id.histogram("gcs.data_sent.x"), nullptr);
+    EXPECT_EQ(by_id.histogram("gcs.data_sent.x")->sum(), 3);
+    EXPECT_EQ(by_id.histogram(obs::metric::kGcsDelivered), nullptr);
+}
+
+TEST(MetricsRegistry, TableIdsAreDenseAndNamedByTheirConstants) {
+    static_assert(obs::metric::kCpuTasks.index == 0);
+    constexpr std::string_view name = obs::metric::kGcsDataSent;
+    static_assert(name == "gcs.data_sent");
+    obs::MetricsRegistry m;
+    for (std::uint32_t i = 0; i < obs::kMetricTableSize; ++i) {
+        EXPECT_EQ(m.intern(obs::kMetricTable[i]).index, i);
+    }
 }
 
 TEST(MetricsRegistry, TraceIsANoOpWithoutASink) {

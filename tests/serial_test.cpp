@@ -115,6 +115,78 @@ TEST(Serial, HostileSequenceLengthThrows) {
     EXPECT_THROW(decode(d, v), DecodeError);
 }
 
+TEST(Serial, MinimumWireSizesFollowTheLayouts) {
+    EXPECT_EQ(min_wire_size<std::uint32_t>(), 4u);
+    EXPECT_EQ(min_wire_size<bool>(), 1u);
+    EXPECT_EQ(min_wire_size<Bytes>(), 4u);
+    EXPECT_EQ(min_wire_size<EndpointId>(), 8u);
+    EXPECT_EQ(min_wire_size<MsgRef>(), 16u);
+    EXPECT_EQ(min_wire_size<KnowledgeEntry>(), 32u);
+    EXPECT_EQ((min_wire_size<std::pair<EndpointId, Seqno>>()), 16u);
+    // 65 bytes of fixed-width fields plus six 4-byte lengths (the payload
+    // blob and five sequences), each present even when empty.
+    EXPECT_EQ(min_wire_size<DataMsg>(), 89u);
+    EXPECT_EQ(encoded_size(DataMsg{}), 89u);
+    // A variant: the tag plus its smallest alternative (JoinReq / LeaveReq).
+    EXPECT_EQ(min_wire_size<GcsMessage>(), 17u);
+}
+
+/// A frame holding a sequence count and then `body_bytes` zero bytes.
+Bytes counted_frame(std::uint32_t count, std::size_t body_bytes) {
+    Encoder e;
+    e.put_u32(count);
+    const Bytes zeros(body_bytes, 0);
+    e.put_bytes(zeros.data(), zeros.size());
+    return std::move(e).take();
+}
+
+TEST(Serial, SequenceCountIsBoundedByElementSize) {
+    // Two 32-byte KnowledgeEntrys' worth of input: a claim of three fails
+    // the length check itself, before the decoder reserves anything.
+    const Bytes fits = counted_frame(2, 64);
+    const auto entries = decode_from_bytes<std::vector<KnowledgeEntry>>(fits);
+    EXPECT_EQ(entries.size(), 2u);
+    const Bytes one_too_many = counted_frame(3, 64);
+    try {
+        (void)decode_from_bytes<std::vector<KnowledgeEntry>>(one_too_many);
+        FAIL() << "a count the input cannot hold was accepted";
+    } catch (const DecodeError& err) {
+        EXPECT_STREQ(err.what(), "sequence length exceeds input");
+    }
+    // The same bound for DataMsg (89 bytes at least, 216 in memory).
+    const Bytes data_frame = counted_frame(2, 2 * 89 - 1);
+    try {
+        (void)decode_from_bytes<std::vector<DataMsg>>(data_frame);
+        FAIL() << "a count the input cannot hold was accepted";
+    } catch (const DecodeError& err) {
+        EXPECT_STREQ(err.what(), "sequence length exceeds input");
+    }
+}
+
+TEST(Serial, MapCountIsBoundedByEntrySize) {
+    // A map<uint32, uint64> entry takes 12 bytes.
+    const auto map = decode_from_bytes<std::map<std::uint32_t, std::uint64_t>>(
+        counted_frame(1, 12));
+    EXPECT_EQ(map.size(), 1u);
+    try {
+        (void)decode_from_bytes<std::map<std::uint32_t, std::uint64_t>>(counted_frame(2, 23));
+        FAIL() << "a count the input cannot hold was accepted";
+    } catch (const DecodeError& err) {
+        EXPECT_STREQ(err.what(), "map length exceeds input");
+    }
+}
+
+TEST(Serial, AlternativeEncodesLikeTheVariantHoldingIt) {
+    DataMsg data;
+    data.seq = 7;
+    data.knowledge.push_back(KnowledgeEntry{GroupId(1), 2, EndpointId(3), 4});
+    EXPECT_EQ(encode_gcs_message(data), encode_gcs_message(GcsMessage{data}));
+    const NackMsg nack{GroupId(1), 2, EndpointId(3), {4, 5}};
+    EXPECT_EQ(encode_gcs_message(nack), encode_gcs_message(GcsMessage{nack}));
+    const InstallMsg install{};
+    EXPECT_EQ(encode_gcs_message(install), encode_gcs_message(GcsMessage{install}));
+}
+
 TEST(Serial, InvalidBoolThrows) {
     const Bytes b{2};
     Decoder d(b);
