@@ -47,6 +47,7 @@ public:
     /// Install the message handler.  A node without a receiver drops
     /// everything delivered to it.
     void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
+    [[nodiscard]] const Receiver& receiver() const { return receiver_; }
 
     /// Install a hook that runs after each successful restart(), once the
     /// node is live again with a bumped incarnation and an empty receiver.
