@@ -2,10 +2,13 @@
 // (group, sender) holding (epoch, count), updated one entry at a time with
 // the note rule the store documents.  Seeded note/merge scripts drive both
 // and compare every snapshot, including merges of unsorted and duplicated
-// entries (a hostile frame can carry either).
+// entries (a hostile frame can carry either), and check that the per-group
+// deltas a sender ships add up to the full snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <utility>
 #include <vector>
@@ -76,9 +79,48 @@ TEST(KnowledgeStore, SnapshotSkipsTheExcludedGroupAndStaysSorted) {
         {GroupId(1), 1, EndpointId(2), 1},
         {GroupId(3), 1, EndpointId(1), 4},
     };
-    EXPECT_EQ(store.snapshot(GroupId(2)), want);
-    EXPECT_EQ(store.snapshot(GroupId(9)).size(), 4u);
+    EXPECT_EQ(store.snapshot(GroupId(2), 0), want);
+    EXPECT_EQ(store.snapshot(GroupId(9), 0).size(), 4u);
     EXPECT_TRUE(std::is_sorted(store.entries().begin(), store.entries().end(), key_less));
+}
+
+TEST(KnowledgeStore, VersionMovesOnlyWhenANoteInsertsOrRaises) {
+    KnowledgeStore store;
+    EXPECT_EQ(store.version(), 0u);
+    store.note(GroupId(1), 2, EndpointId(7), 5);  // insert
+    EXPECT_EQ(store.version(), 1u);
+    store.note(GroupId(1), 2, EndpointId(7), 5);  // same value
+    store.note(GroupId(1), 2, EndpointId(7), 3);  // smaller count
+    store.note(GroupId(1), 1, EndpointId(7), 9);  // older epoch
+    store.merge({{GroupId(1), 2, EndpointId(7), 4}, {GroupId(1), 0, EndpointId(7), 8}});
+    EXPECT_EQ(store.version(), 1u);
+    store.note(GroupId(1), 2, EndpointId(7), 6);  // larger count
+    EXPECT_EQ(store.version(), 2u);
+    store.note(GroupId(1), 3, EndpointId(7), 0);  // newer epoch, smaller count
+    EXPECT_EQ(store.version(), 3u);
+    store.note(GroupId(0), 0, EndpointId(1), 0);  // insert ahead of the others
+    EXPECT_EQ(store.version(), 4u);
+}
+
+TEST(KnowledgeStore, SnapshotSinceReturnsExactlyTheEntriesChangedAfterIt) {
+    KnowledgeStore store;
+    store.note(GroupId(1), 1, EndpointId(1), 1);
+    store.note(GroupId(2), 1, EndpointId(1), 1);
+    store.note(GroupId(3), 1, EndpointId(1), 1);
+    const KnowledgeStore::Version v = store.version();
+    EXPECT_TRUE(store.snapshot(GroupId(0), v).empty());
+    store.note(GroupId(3), 1, EndpointId(1), 2);  // raise
+    store.note(GroupId(2), 1, EndpointId(1), 1);  // no-op
+    store.note(GroupId(1), 1, EndpointId(5), 1);  // insert inside the vector
+    const std::vector<KnowledgeEntry> want = {
+        {GroupId(1), 1, EndpointId(5), 1},
+        {GroupId(3), 1, EndpointId(1), 2},
+    };
+    EXPECT_EQ(store.snapshot(GroupId(0), v), want);
+    EXPECT_EQ(store.snapshot(GroupId(3), v), (std::vector<KnowledgeEntry>{want[0]}));
+    EXPECT_EQ(store.snapshot(GroupId(0), v + 1), (std::vector<KnowledgeEntry>{want[0]}));
+    EXPECT_TRUE(store.snapshot(GroupId(0), store.version()).empty());
+    EXPECT_EQ(store.snapshot(GroupId(0), 0), store.entries());
 }
 
 TEST(KnowledgeStore, MergeAcceptsUnsortedAndDuplicateEntries) {
@@ -104,6 +146,13 @@ TEST(KnowledgeStore, MatchesReferenceMapOnSeededScripts) {
         Rng rng(seed);
         KnowledgeStore store;
         ReferenceKnowledge reference;
+        // One receiver per excluded group id: it merges every delta the
+        // store ships for that group, as a peer delivering each of a
+        // sender's messages in FIFO order would.  `shipped` is the
+        // reference snapshot as of each group's previous delta.
+        std::array<KnowledgeStore, 6> receivers;
+        std::array<KnowledgeStore::Version, 6> sent_at{};
+        std::array<std::vector<KnowledgeEntry>, 6> shipped;
         for (int op = 0; op < 200; ++op) {
             const std::uint64_t kind = rng.next_in(0, 3);
             if (kind == 0) {
@@ -132,8 +181,23 @@ TEST(KnowledgeStore, MatchesReferenceMapOnSeededScripts) {
                 for (const KnowledgeEntry& e : input) reference.note(e);
             }
             const GroupId excluding(rng.next_in(0, 5));
-            ASSERT_EQ(store.snapshot(excluding), reference.snapshot(excluding))
-                << "seed " << seed << " op " << op;
+            const std::vector<KnowledgeEntry> full = reference.snapshot(excluding);
+            ASSERT_EQ(store.snapshot(excluding, 0), full) << "seed " << seed << " op " << op;
+
+            // The delta is exactly what changed since this group's previous one.
+            const std::size_t r = excluding.value();
+            std::vector<KnowledgeEntry> changed;
+            std::copy_if(full.begin(), full.end(), std::back_inserter(changed),
+                         [&](const KnowledgeEntry& e) {
+                             return std::find(shipped[r].begin(), shipped[r].end(), e) ==
+                                    shipped[r].end();
+                         });
+            const std::vector<KnowledgeEntry> delta = store.snapshot(excluding, sent_at[r]);
+            ASSERT_EQ(delta, changed) << "seed " << seed << " op " << op;
+            sent_at[r] = store.version();
+            shipped[r] = full;
+            receivers[r].merge(delta);
+            ASSERT_EQ(receivers[r].entries(), full) << "seed " << seed << " op " << op;
         }
         ASSERT_EQ(store.entries(), reference.snapshot(GroupId(0))) << "seed " << seed;
     }

@@ -9,7 +9,10 @@
 //   * virtual synchrony under random crashes: survivors' delivery
 //     sequences are identical (same set, same order),
 //   * causal legality in kCausal groups: a message is never delivered
-//     before one of its causal predecessors.
+//     before one of its causal predecessors,
+//   * cross-group causality over overlapping groups (the fig. 7 barriers):
+//     a message is never delivered before a cause from any group the
+//     receiver belongs to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -316,6 +319,135 @@ TEST(CausalLegalityProperty, DeliveriesNeverPrecedeTheirCauses) {
                     << "causal violation at member " << i << " for " << text;
             }
         }
+    }
+}
+
+// -- cross-group causality -----------------------------------------------------------
+
+TEST(CrossGroupCausalityProperty, EveryLogShowsTheCauseBeforeTheEffect) {
+    // Six endpoints over the three WAN sites in three groups that overlap
+    // pairwise in a ring (g0 = {0,1,2}, g1 = {2,3,4}, g2 = {4,5,0}), each
+    // with a seeded order mode.  Members react to deliveries by
+    // multicasting into another of their groups; each message's causal
+    // past is tracked exactly (everything its sender had sent or handed to
+    // the application), and every member must deliver each cause from a
+    // group it belongs to before the effect.
+    //
+    // A member's own earlier sends are not checked: barrier_satisfied
+    // skips entries about the receiver's own stream, so a member may
+    // deliver its own message in one group after a later one of its own
+    // (or a peer's reaction to it) in another.  The barriers order only
+    // what a member receives from others, which is the fig. 7 guarantee.
+    constexpr std::size_t kEndpoints = 6;
+    const std::vector<std::vector<std::size_t>> kRing = {{0, 1, 2}, {2, 3, 4}, {4, 5, 0}};
+    for (int seed = 1; seed <= 6; ++seed) {
+        PropWorld world(topology_for(Net::kWan), static_cast<std::uint64_t>(seed) * 131 + 5);
+        Rng rng(static_cast<std::uint64_t>(seed) * 89 + 3);
+        for (std::size_t i = 0; i < kEndpoints; ++i) world.add_endpoint(site_for(Net::kWan, i));
+
+        std::vector<GroupId> groups;
+        std::vector<std::vector<std::size_t>> groups_of(kEndpoints);
+        for (std::size_t k = 0; k < kRing.size(); ++k) {
+            GroupConfig cfg;
+            const std::uint64_t roll = rng.next_in(0, 2);
+            cfg.order = roll == 0   ? OrderMode::kTotalSymmetric
+                        : roll == 1 ? OrderMode::kTotalAsymmetric
+                                    : OrderMode::kCausal;
+            cfg.liveness = LivenessMode::kLively;
+            const std::string name = test::label("g", k);
+            const GroupId g = world.endpoints[kRing[k][0]]->create_group(name, cfg);
+            for (std::size_t m = 1; m < kRing[k].size(); ++m) {
+                world.run_for(500_ms);
+                world.endpoints[kRing[k][m]]->join_group(name);
+            }
+            world.run_for(1_s);
+            for (const std::size_t m : kRing[k]) {
+                ASSERT_TRUE(world.endpoints[m]->is_member(g)) << "seed " << seed;
+                groups_of[m].push_back(k);
+            }
+            if (cfg.order == OrderMode::kCausal) {
+                world.oracle.options().causal_groups.insert(g.value());
+            }
+            groups.push_back(g);
+        }
+        std::vector<ViewEpoch> epochs;
+        for (std::size_t k = 0; k < groups.size(); ++k) {
+            epochs.push_back(world.endpoints[kRing[k][0]]->group_stats(groups[k]).epoch);
+        }
+
+        // past[i] = what endpoint i has sent or delivered so far,
+        // transitively.
+        struct Sent {
+            std::size_t sender;
+            std::size_t group;
+            std::set<std::string> causes;
+        };
+        std::map<std::string, Sent> sent;
+        std::vector<std::set<std::string>> past(kEndpoints);
+        const auto send = [&](std::size_t i, std::size_t k) {
+            const std::string text = test::label("m", sent.size(), "@", i, "g", k);
+            sent[text] = Sent{i, k, past[i]};
+            past[i].insert(text);
+            world.endpoints[i]->multicast(groups[k], Bytes(text.begin(), text.end()));
+        };
+        for (std::size_t i = 0; i < kEndpoints; ++i) {
+            world.endpoints[i]->set_deliver_handler(
+                [&, i](const GroupCommEndpoint::Delivery& d) {
+                    const std::string text(d.payload.begin(), d.payload.end());
+                    world.delivered[i].push_back(text);
+                    const std::size_t k = sent.at(text).group;
+                    const std::set<std::string>& causes = sent.at(text).causes;
+                    past[i].insert(causes.begin(), causes.end());
+                    past[i].insert(text);
+                    if (sent.size() >= 80 || !rng.next_bool(0.4)) return;
+                    // React in another of our groups when we have one.
+                    std::vector<std::size_t> others;
+                    for (const std::size_t mine : groups_of[i]) {
+                        if (mine != k) others.push_back(mine);
+                    }
+                    if (others.empty()) others.push_back(k);
+                    send(i, others[rng.next_in(0, others.size() - 1)]);
+                });
+        }
+
+        for (int n = 0; n < 9; ++n) {
+            const std::size_t i = rng.next_in(0, kEndpoints - 1);
+            send(i, groups_of[i][rng.next_in(0, groups_of[i].size() - 1)]);
+            world.run_for(static_cast<SimDuration>(rng.next_in(0, 30'000)));
+        }
+        world.run_for(20_s);
+
+        // The premise: no view change, so no cut delivered around a barrier.
+        for (std::size_t k = 0; k < groups.size(); ++k) {
+            ASSERT_EQ(world.endpoints[kRing[k][0]]->group_stats(groups[k]).epoch, epochs[k])
+                << "seed " << seed;
+        }
+        ASSERT_GT(sent.size(), 20u) << "seed " << seed;
+        int cross_group_pairs = 0;  // cause and effect in different groups
+        for (std::size_t i = 0; i < kEndpoints; ++i) {
+            const auto& log = world.delivered[i];
+            std::map<std::string, std::size_t> position;
+            for (std::size_t p = 0; p < log.size(); ++p) position[log[p]] = p;
+            const auto member_of = [&](std::size_t k) {
+                return std::find(groups_of[i].begin(), groups_of[i].end(), k) !=
+                       groups_of[i].end();
+            };
+            for (const auto& [text, entry] : sent) {
+                ASSERT_EQ(position.contains(text), member_of(entry.group))
+                    << "seed " << seed << ": endpoint " << i << " and " << text;
+            }
+            for (const auto& [text, pos] : position) {
+                for (const std::string& cause : sent.at(text).causes) {
+                    const Sent& c = sent.at(cause);
+                    if (!member_of(c.group) || c.sender == i) continue;
+                    if (c.group != sent.at(text).group) ++cross_group_pairs;
+                    EXPECT_LT(position.at(cause), pos)
+                        << "seed " << seed << ": endpoint " << i << " delivered " << text
+                        << " before its cause " << cause;
+                }
+            }
+        }
+        EXPECT_GT(cross_group_pairs, 0) << "seed " << seed;
     }
 }
 
