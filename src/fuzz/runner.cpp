@@ -67,6 +67,9 @@ std::vector<std::string> check_call_liveness(const std::vector<obs::TraceEvent>&
 
 std::string RunResult::report() const {
     std::string out;
+    if (!invariant.empty()) {
+        out += "invariant: seed " + std::to_string(seed) + ": " + invariant + "\n";
+    }
     if (trace_dropped > 0) {
         out += "trace_overflow: ring dropped " + std::to_string(trace_dropped) +
                " events; verdict unreliable, raise RunOptions::trace_capacity\n";
@@ -78,7 +81,9 @@ std::string RunResult::report() const {
     return out;
 }
 
-RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
+namespace {
+
+RunResult run_unguarded(const Scenario& scenario, const RunOptions& options) {
     NEWTOP_EXPECTS(!scenario.services.empty(), "scenario needs at least one service");
     NEWTOP_EXPECTS(scenario.sites >= 1, "scenario needs at least one site");
 
@@ -450,6 +455,23 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
     }
     if (options.keep_trace) result.trace = std::move(events);
     return result;
+}
+
+}  // namespace
+
+RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
+    try {
+        return run_unguarded(scenario, options);
+    } catch (const InvariantError& err) {
+        // A protocol invariant (NEWTOP_ENSURES) fired mid-run: a failing
+        // verdict like any oracle violation, so the campaign shrinks and
+        // replays it instead of dying.  The half-run world is gone; only
+        // the seed and the message survive.
+        RunResult result;
+        result.seed = scenario.seed;
+        result.invariant = err.what();
+        return result;
+    }
 }
 
 }  // namespace newtop::fuzz

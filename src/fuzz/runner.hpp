@@ -50,11 +50,16 @@ struct RunResult {
     std::uint64_t trace_events{0};
     std::uint64_t trace_dropped{0};
     std::vector<obs::TraceEvent> trace;
+    /// what() of an InvariantError the run threw; the run stopped there,
+    /// so the other verdicts and the trace stay empty.
+    std::string invariant;
 
     [[nodiscard]] bool ok() const {
-        return violations.empty() && liveness_failures.empty() && trace_dropped == 0;
+        return invariant.empty() && violations.empty() && liveness_failures.empty() &&
+               trace_dropped == 0;
     }
-    /// One line per problem (oracle violations, liveness hangs, overflow).
+    /// One line per problem (invariant, oracle violations, liveness hangs,
+    /// overflow).
     [[nodiscard]] std::string report() const;
 };
 
@@ -66,7 +71,9 @@ struct RunResult {
     const std::vector<obs::TraceEvent>& events, const std::set<std::uint64_t>& exempt);
 
 /// Execute `scenario` in a fresh world and check its trace.  Deterministic:
-/// same scenario (and mutator), byte-identical trace and verdict.
+/// same scenario (and mutator), byte-identical trace and verdict.  An
+/// InvariantError thrown by the run (or the mutator) becomes a failing
+/// result instead of escaping.
 [[nodiscard]] RunResult run_scenario(const Scenario& scenario, const RunOptions& options = {});
 
 }  // namespace newtop::fuzz

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz/scenario.hpp"
+#include "util/check.hpp"
 
 namespace newtop::fuzz {
 namespace {
@@ -190,6 +192,34 @@ TEST(Campaign, MutationIsCaughtAndShrunk) {
     // The shrunk scenario still reproduces under the same mutator.
     const RunResult replay = run_scenario(*result.shrunk, options.run);
     EXPECT_FALSE(replay.ok());
+}
+
+// A protocol invariant that fires mid-run is a failing verdict, not an
+// abort: the campaign names it with its seed, shrinks it and replays it.
+TEST(Campaign, InvariantErrorIsReportedShrunkAndReplayed) {
+    CampaignOptions options;
+    options.base_seed = 5;
+    options.runs = 3;
+    options.run.mutator = [](std::vector<obs::TraceEvent>&) {
+        NEWTOP_ENSURES(false, "injected per-sender FIFO break");
+    };
+    const CampaignResult result = CampaignRunner(options).run();
+    ASSERT_FALSE(result.ok());
+    ASSERT_TRUE(result.first_failure.has_value());
+    EXPECT_EQ(result.first_failure->seed, 5u);
+    EXPECT_NE(result.first_failure->invariant.find("injected per-sender FIFO break"),
+              std::string::npos);
+    const std::string report = result.report();
+    EXPECT_NE(report.find("invariant: seed 5: invariant failed: false: injected per-sender "
+                          "FIFO break"),
+              std::string::npos)
+        << report;
+    ASSERT_TRUE(result.shrunk.has_value());
+    EXPECT_LE(result.shrunk->clients.size(), 1u);
+    EXPECT_TRUE(result.shrunk->faults.empty());
+    const RunResult replay = run_scenario(*result.shrunk, options.run);
+    EXPECT_FALSE(replay.ok());
+    EXPECT_FALSE(replay.invariant.empty());
 }
 
 TEST(Runner, LivenessCheckFlagsOpenCalls) {
