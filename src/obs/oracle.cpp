@@ -28,6 +28,7 @@ const char* violation_kind_name(Violation::Kind kind) {
         case Violation::Kind::kReplyThreshold: return "reply_threshold";
         case Violation::Kind::kTruncatedTrace: return "truncated_trace";
         case Violation::Kind::kConfigTornDelivery: return "config_torn_delivery";
+        case Violation::Kind::kFifo: return "fifo";
     }
     return "?";
 }
@@ -117,6 +118,9 @@ std::vector<Violation> ProtocolOracle::check(const std::vector<TraceEvent>& even
         MemberLog& log = logs[key];
         std::map<std::uint64_t, std::uint32_t> occurrence;
         std::set<std::uint64_t> in_lineage;  // refs delivered this lineage
+        // Highest seq delivered this lineage per {epoch, sender} (the ref's
+        // upper half): each view numbers every sender's stream afresh.
+        std::map<std::uint64_t, std::uint64_t> last_seq;
         std::uint64_t last_epoch = 0;
         // Config attribution: the view epoch at this lineage's latest
         // configuration switch (0 = still on the creation-time config) and
@@ -129,6 +133,7 @@ std::vector<Violation> ProtocolOracle::check(const std::vector<TraceEvent>& even
                 const std::uint64_t epoch = view_detail_epoch(entry.value);
                 if (epoch <= last_epoch) {  // rejoin lineage
                     in_lineage.clear();
+                    last_seq.clear();
                     switch_view_epoch = 0;
                     last_config_epoch = 0;
                 }
@@ -164,6 +169,17 @@ std::vector<Violation> ProtocolOracle::check(const std::vector<TraceEvent>& even
                                    std::to_string(switch_view_epoch)});
             }
             log.deliveries.emplace_back(ref, occurrence[ref]++);
+            const std::uint64_t seq = ref & 0xffffffff;
+            const auto [last, fresh] = last_seq.try_emplace(ref >> 32, seq);
+            if (!fresh && seq < last->second) {
+                out.push_back({Violation::Kind::kFifo,
+                               "member " + std::to_string(key.second) + " delivered " +
+                                   format_ref(ref) + " in group " +
+                                   std::to_string(key.first) + " after seq " +
+                                   std::to_string(last->second) + " of the same sender"});
+            } else {
+                last->second = seq;
+            }
             if (!in_lineage.insert(ref).second) {
                 out.push_back({Violation::Kind::kDuplicateDelivery,
                                "member " + std::to_string(key.second) + " delivered " +

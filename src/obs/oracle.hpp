@@ -10,6 +10,8 @@
 //                    views delivered the same message set between them,
 //  * no duplicates — no member delivers one {epoch, sender, seq} ref twice
 //                    within a view lineage (epochs restart after a rejoin),
+//  * per-sender FIFO — within one member, group and view lineage, a
+//                    sender's delivered seq never goes backwards in one view,
 //  * reply accounting — every completed two-way call saw at least the
 //                    per-mode minimum of kReplyCollected events first,
 //  * config integrity — every delivery is attributed to a configuration
@@ -60,6 +62,9 @@ struct Violation {
         /// after installing a newer configuration (or its installed config
         /// epochs regressed): the flush-delimited switch boundary tore.
         kConfigTornDelivery,
+        /// A member delivered a sender's message after a later one from
+        /// the same sender in the same view.
+        kFifo,
     };
     Kind kind{Kind::kTotalOrder};
     std::string message;

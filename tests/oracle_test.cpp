@@ -1,7 +1,8 @@
 // The trace-driven protocol oracle, tested in both directions: green over
 // healthy synthetic and captured streams, and red — via targeted mutations
 // of a real capture — on seeded violations of total order, virtual
-// synchrony, duplicate suppression and reply-threshold accounting.  Also
+// synchrony, duplicate suppression, per-sender FIFO and reply-threshold
+// accounting.  Also
 // covers the span-tree reconstruction and the Perfetto exporter over the
 // same captures.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/calibration.hpp"
@@ -101,6 +103,31 @@ TEST(ProtocolOracle, ReportsDuplicateDelivery) {
     };
     const auto violations = obs::ProtocolOracle().check(events);
     EXPECT_TRUE(has_violation(violations, Violation::Kind::kDuplicateDelivery));
+}
+
+TEST(ProtocolOracle, ReportsPerSenderFifoBreak) {
+    // Member 1 delivers sender 2's seq 1 before its seq 0 in one view.
+    const std::vector<TraceEvent> events = {
+        delivered(10, 1, 5, 1, 2, 1),
+        delivered(20, 1, 5, 1, 2, 0),
+    };
+    const auto violations = obs::ProtocolOracle().check(events);
+    ASSERT_EQ(violations.size(), 1u) << obs::ProtocolOracle::report(violations);
+    EXPECT_EQ(violations[0].kind, Violation::Kind::kFifo);
+    EXPECT_STREQ(obs::violation_kind_name(violations[0].kind), "fifo");
+}
+
+TEST(ProtocolOracle, FifoIsPerSenderViewAndLineage) {
+    // Other senders interleave freely, every view numbers a sender's stream
+    // afresh, and so does a rejoin lineage (epochs restart).
+    const std::vector<TraceEvent> events = {
+        installed(0, 1, 5, 1, 77),   delivered(10, 1, 5, 1, 2, 3),
+        delivered(11, 1, 5, 1, 3, 0), delivered(12, 1, 5, 1, 2, 4),
+        installed(20, 1, 5, 2, 88),  delivered(30, 1, 5, 2, 2, 0),
+        installed(40, 1, 5, 1, 99),  delivered(50, 1, 5, 1, 2, 0),
+    };
+    const auto violations = obs::ProtocolOracle().check(events);
+    EXPECT_TRUE(violations.empty()) << obs::ProtocolOracle::report(violations);
 }
 
 TEST(ProtocolOracle, ReportsVirtualSynchronyGapBetweenSharedViews) {
@@ -395,6 +422,28 @@ TEST(CapturedTrace, MutationDuplicatedDeliveryIsReported) {
 
     EXPECT_TRUE(has_violation(obs::ProtocolOracle().check(events),
                               Violation::Kind::kDuplicateDelivery));
+}
+
+TEST(CapturedTrace, MutationSwappedSenderDeliveriesBreakFifo) {
+    CaptureWorld world(2);
+    ASSERT_EQ(world.run_calls(3), 3);
+    std::vector<TraceEvent> events = world.sink.events();
+    ASSERT_TRUE(obs::ProtocolOracle().check(events).empty());
+
+    // Swap one member's first two deliveries from one sender in one view.
+    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, std::size_t> first;
+    bool swapped = false;
+    for (std::size_t i = 0; i < events.size() && !swapped; ++i) {
+        if (events[i].kind != TraceKind::kDataDelivered) continue;
+        const auto [it, fresh] =
+            first.try_emplace({events[i].subject, events[i].actor, events[i].detail >> 32}, i);
+        if (fresh) continue;
+        std::swap(events[it->second].detail, events[i].detail);
+        swapped = true;
+    }
+    ASSERT_TRUE(swapped) << "capture held no two deliveries from one sender in one view";
+
+    EXPECT_TRUE(has_violation(obs::ProtocolOracle().check(events), Violation::Kind::kFifo));
 }
 
 TEST(CapturedTrace, MutationDroppedReplyIsReported) {
