@@ -105,8 +105,7 @@ void GroupCommEndpoint::send_null(Group& g) {
 }
 
 void GroupCommEndpoint::on_silence_timer(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
+    Group* g = live_group(id);
     if (g == nullptr) return;
     g->silence_timer = 0;
     if (!mechanisms_active(*g)) return;
@@ -118,8 +117,7 @@ void GroupCommEndpoint::on_silence_timer(GroupId id) {
 }
 
 void GroupCommEndpoint::on_progress_timer(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
+    Group* g = live_group(id);
     if (g == nullptr) return;
     g->progress_timer = 0;
     // Only a symmetric engine with a holdback has a head to advance.
@@ -206,8 +204,7 @@ std::uint64_t GroupCommEndpoint::sample_phi_milli(EndpointId peer, SimTime at) c
 }
 
 void GroupCommEndpoint::on_suspicion_scan(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
+    Group* g = live_group(id);
     if (g == nullptr) return;
     g->suspicion_timer = 0;
     if (!mechanisms_active(*g)) return;
@@ -241,8 +238,7 @@ void GroupCommEndpoint::on_suspicion_scan(GroupId id) {
 }
 
 void GroupCommEndpoint::on_stability_tick(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
+    Group* g = live_group(id);
     if (g == nullptr) return;
     g->stability_timer = 0;
     if (!mechanisms_active(*g)) return;
@@ -257,14 +253,15 @@ std::vector<std::pair<EndpointId, Seqno>> GroupCommEndpoint::received_counts(
     std::vector<std::pair<EndpointId, Seqno>> out;
     out.reserve(g.view.members.size());
     for (const EndpointId member : g.view.members) {
-        if (member == id_) {
-            out.emplace_back(member, g.next_send_seq);
-        } else {
-            const auto it = g.inbound.find(member);
-            out.emplace_back(member, it == g.inbound.end() ? 0 : it->second.next_expected);
-        }
+        out.emplace_back(member, received_count(g, member));
     }
     return out;
+}
+
+Seqno GroupCommEndpoint::received_count(const Group& g, EndpointId sender) const {
+    if (sender == id_) return g.next_send_seq;
+    const auto it = g.inbound.find(sender);
+    return it == g.inbound.end() ? 0 : it->second.next_expected;
 }
 
 void GroupCommEndpoint::apply_stability_report(
@@ -282,15 +279,12 @@ void GroupCommEndpoint::recompute_stability(Group& g) {
     // A message (sender m, seq s) is stable once every member has received
     // m's stream contiguously past s; then nobody can ever NACK it and it
     // need not appear in a view-change flush.
-    const auto own = received_counts(g);
     for (const EndpointId sender : g.view.members) {
         Seqno floor = ~Seqno{0};
         for (const EndpointId member : g.view.members) {
             Seqno count = 0;
             if (member == id_) {
-                for (const auto& [m, c] : own) {
-                    if (m == sender) count = c;
-                }
+                count = received_count(g, sender);
             } else {
                 const auto rit = g.stability_reports.find(member);
                 if (rit != g.stability_reports.end()) {

@@ -21,9 +21,4 @@ EndpointId View::leader() const {
     return members.front();
 }
 
-void View::normalize() {
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-}
-
 }  // namespace newtop

@@ -34,9 +34,6 @@ struct View {
     /// member has the identical view — §3 of the paper).
     [[nodiscard]] EndpointId leader() const;
 
-    /// Canonicalise: sort members and drop duplicates.
-    void normalize();
-
     friend bool operator==(const View&, const View&) = default;
 };
 
