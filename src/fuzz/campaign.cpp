@@ -102,58 +102,37 @@ bool CampaignRunner::fails(const Scenario& scenario) const {
     return !run_scenario(scenario, options_.run).ok();
 }
 
-RunResult CampaignRunner::run_seed(std::uint64_t seed) const {
-    const ScenarioGenerator generator(options_.limits);
-    return run_scenario(generator.generate(seed), options_.run);
-}
-
 Scenario CampaignRunner::shrink(const Scenario& failing) const {
     Scenario current = failing;
     bool progress = true;
+    // Keep `candidate` if it still fails; the caller then retries the same
+    // index, which now names the next element.
+    const auto adopt = [&](Scenario candidate) {
+        if (!fails(candidate)) return false;
+        current = std::move(candidate);
+        progress = true;
+        return true;
+    };
     while (progress) {
         progress = false;
 
         for (std::size_t f = 0; f < current.faults.size();) {
-            Scenario candidate = without_fault(current, f);
-            if (fails(candidate)) {
-                current = std::move(candidate);
-                progress = true;
-            } else {
-                ++f;
-            }
+            if (!adopt(without_fault(current, f))) ++f;
         }
 
         for (std::size_t i = 0; i < current.clients.size();) {
             if (current.clients.size() == 1) break;  // keep a workload
-            Scenario candidate = without_client(current, i);
-            if (fails(candidate)) {
-                current = std::move(candidate);
-                progress = true;
-            } else {
-                ++i;
-            }
+            if (!adopt(without_client(current, i))) ++i;
         }
 
         for (std::size_t p = 0; p < current.peers.size();) {
-            Scenario candidate = without_peer(current, p);
-            if (fails(candidate)) {
-                current = std::move(candidate);
-                progress = true;
-            } else {
-                ++p;
-            }
+            if (!adopt(without_peer(current, p))) ++p;
         }
 
         for (std::size_t j = 0; j < current.services.size(); ++j) {
             for (std::size_t k = 0; k < current.services[j].server_sites.size();) {
                 if (current.services[j].server_sites.size() == 1) break;
-                Scenario candidate = without_replica(current, j, k);
-                if (fails(candidate)) {
-                    current = std::move(candidate);
-                    progress = true;
-                } else {
-                    ++k;
-                }
+                if (!adopt(without_replica(current, j, k))) ++k;
             }
         }
 
@@ -161,15 +140,8 @@ Scenario CampaignRunner::shrink(const Scenario& failing) const {
             const bool referenced = std::any_of(
                 current.clients.begin(), current.clients.end(),
                 [&](const ClientSpec& c) { return c.service == static_cast<int>(j); });
-            if (referenced || current.services.size() == 1) {
-                ++j;
-                continue;
-            }
-            Scenario candidate = without_service(current, j);
-            if (fails(candidate)) {
-                current = std::move(candidate);
-                progress = true;
-            } else {
+            if (referenced || current.services.size() == 1 ||
+                !adopt(without_service(current, j))) {
                 ++j;
             }
         }

@@ -51,9 +51,6 @@ public:
     /// seed (shrinking it if enabled).
     [[nodiscard]] CampaignResult run() const;
 
-    /// Generate + execute + check one seed.
-    [[nodiscard]] RunResult run_seed(std::uint64_t seed) const;
-
     /// Greedy structural minimisation of a failing scenario.
     [[nodiscard]] Scenario shrink(const Scenario& failing) const;
 

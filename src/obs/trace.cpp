@@ -225,97 +225,74 @@ struct DumpParser {
         return true;
     }
 
-    bool parse_expectation(TraceExpectation& out) {
+    /// `{"key": value, ...}`: `field(key)` parses each value.
+    template <typename Field>
+    bool parse_object(Field&& field) {
         if (!consume('{')) return false;
-        bool first = true;
-        while (!peek('}')) {
+        for (bool first = true; !peek('}'); first = false) {
             if (!first && !consume(',')) return false;
-            first = false;
             std::string key;
-            if (!parse_string(key) || !consume(':')) return false;
-            if (key == "metric") {
-                if (!parse_string(out.metric)) return false;
-            } else if (key == "count") {
-                if (!parse_uint(out.count)) return false;
-            } else if (key == "sum_us") {
-                if (!parse_int(out.sum_us)) return false;
-            } else {
-                return fail("unknown expectation key '" + key + "'");
-            }
+            if (!parse_string(key) || !consume(':') || !field(key)) return false;
         }
         return consume('}');
     }
 
+    /// `[item, ...]` appended to `out`, each parsed by `item`.
+    template <typename T, typename Item>
+    bool parse_array(std::vector<T>& out, Item&& item) {
+        if (!consume('[')) return false;
+        while (!peek(']')) {
+            if (!out.empty() && !consume(',')) return false;
+            T x{};
+            if (!item(x)) return false;
+            out.push_back(std::move(x));
+        }
+        return consume(']');
+    }
+
+    bool parse_expectation(TraceExpectation& out) {
+        return parse_object([&](const std::string& key) {
+            if (key == "metric") return parse_string(out.metric);
+            if (key == "count") return parse_uint(out.count);
+            if (key == "sum_us") return parse_int(out.sum_us);
+            return fail("unknown expectation key '" + key + "'");
+        });
+    }
+
     bool parse_event(TraceEvent& out) {
-        if (!consume('{')) return false;
-        bool first = true;
-        while (!peek('}')) {
-            if (!first && !consume(',')) return false;
-            first = false;
-            std::string key;
-            if (!parse_string(key) || !consume(':')) return false;
-            if (key == "at") {
-                std::int64_t at = 0;
-                if (!parse_int(at)) return false;
-                out.at = at;
-            } else if (key == "kind") {
+        return parse_object([&](const std::string& key) {
+            if (key == "at") return parse_int(out.at);
+            if (key == "kind") {
                 std::string name;
                 if (!parse_string(name)) return false;
                 const std::size_t index = trace_kind_index_from_name(name);
                 if (index >= kTraceKindCount) return fail("unknown kind '" + name + "'");
                 out.kind = static_cast<TraceKind>(index);
-            } else if (key == "actor") {
-                if (!parse_uint(out.actor)) return false;
-            } else if (key == "subject") {
-                if (!parse_uint(out.subject)) return false;
-            } else if (key == "detail") {
-                if (!parse_uint(out.detail)) return false;
-            } else if (key == "trace") {
-                if (!parse_uint(out.trace)) return false;
-            } else if (key == "span") {
-                if (!parse_uint(out.span)) return false;
-            } else if (key == "parent") {
-                if (!parse_uint(out.parent)) return false;
-            } else {
-                return fail("unknown event key '" + key + "'");
+                return true;
             }
-        }
-        return consume('}');
+            if (key == "actor") return parse_uint(out.actor);
+            if (key == "subject") return parse_uint(out.subject);
+            if (key == "detail") return parse_uint(out.detail);
+            if (key == "trace") return parse_uint(out.trace);
+            if (key == "span") return parse_uint(out.span);
+            if (key == "parent") return parse_uint(out.parent);
+            return fail("unknown event key '" + key + "'");
+        });
     }
 
     bool parse_dump(TraceDump& out) {
-        if (!consume('{')) return false;
-        bool first = true;
-        while (!peek('}')) {
-            if (!first && !consume(',')) return false;
-            first = false;
-            std::string key;
-            if (!parse_string(key) || !consume(':')) return false;
-            if (key == "dropped") {
-                if (!parse_uint(out.dropped)) return false;
-            } else if (key == "expectations") {
-                if (!consume('[')) return false;
-                while (!peek(']')) {
-                    if (!out.expectations.empty() && !consume(',')) return false;
-                    TraceExpectation x;
-                    if (!parse_expectation(x)) return false;
-                    out.expectations.push_back(std::move(x));
-                }
-                if (!consume(']')) return false;
-            } else if (key == "events") {
-                if (!consume('[')) return false;
-                while (!peek(']')) {
-                    if (!out.events.empty() && !consume(',')) return false;
-                    TraceEvent e;
-                    if (!parse_event(e)) return false;
-                    out.events.push_back(e);
-                }
-                if (!consume(']')) return false;
-            } else {
-                return fail("unknown dump key '" + key + "'");
+        const bool ok = parse_object([&](const std::string& key) {
+            if (key == "dropped") return parse_uint(out.dropped);
+            if (key == "expectations") {
+                return parse_array(out.expectations,
+                                   [&](TraceExpectation& x) { return parse_expectation(x); });
             }
-        }
-        if (!consume('}')) return false;
+            if (key == "events") {
+                return parse_array(out.events, [&](TraceEvent& e) { return parse_event(e); });
+            }
+            return fail("unknown dump key '" + key + "'");
+        });
+        if (!ok) return false;
         skip_ws();
         if (i != s.size()) return fail("trailing data");
         return true;
