@@ -1,7 +1,8 @@
 // Shared test fixtures on World (src/newtop/world.hpp): a world of
 // group-communication endpoints that records every endpoint's deliveries and
 // oracle-checks the whole trace (trace_oracle.hpp), the payload helpers its
-// tests use, and call() for invocation tests.
+// tests use, call() for invocation tests and a stateful register servant
+// for the replication and recovery tests.
 #pragma once
 
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "gcs/endpoint.hpp"
 #include "newtop/world.hpp"
+#include "replication/stateful_servant.hpp"
 #include "trace_oracle.hpp"
 
 namespace newtop::test {
@@ -94,5 +96,34 @@ inline GroupReply call(World& world, GroupProxy& proxy, std::uint32_t method, By
     EXPECT_TRUE(done) << "call did not complete";
     return out;
 }
+
+inline constexpr std::uint32_t kGet = 1;
+inline constexpr std::uint32_t kAppend = 2;
+
+/// A stateful register: an append-only string, snapshot = contents.
+class RegisterServant : public StatefulServant {
+public:
+    Bytes handle(std::uint32_t method, const Bytes& args) override {
+        switch (method) {
+            case kGet: return encode_to_bytes(contents_);
+            case kAppend:
+                ++executions;
+                contents_ += decode_from_bytes<std::string>(args);
+                return encode_to_bytes(contents_);
+            default: throw ServantError("no such method");
+        }
+    }
+
+    [[nodiscard]] Bytes snapshot() const override { return encode_to_bytes(contents_); }
+    void restore(const Bytes& snapshot) override {
+        contents_ = decode_from_bytes<std::string>(snapshot);
+    }
+
+    [[nodiscard]] const std::string& contents() const { return contents_; }
+    int executions{0};
+
+private:
+    std::string contents_;
+};
 
 }  // namespace newtop::test

@@ -20,34 +20,9 @@ namespace {
 
 using namespace sim_literals;
 using test::call;
-
-constexpr std::uint32_t kGet = 1;
-constexpr std::uint32_t kAppend = 2;
-
-class RegisterServant : public StatefulServant {
-public:
-    Bytes handle(std::uint32_t method, const Bytes& args) override {
-        switch (method) {
-            case kGet: return encode_to_bytes(contents_);
-            case kAppend:
-                ++executions;
-                contents_ += decode_from_bytes<std::string>(args);
-                return encode_to_bytes(contents_);
-            default: throw ServantError("no such method");
-        }
-    }
-
-    [[nodiscard]] Bytes snapshot() const override { return encode_to_bytes(contents_); }
-    void restore(const Bytes& snapshot) override {
-        contents_ = decode_from_bytes<std::string>(snapshot);
-    }
-
-    [[nodiscard]] const std::string& contents() const { return contents_; }
-    int executions{0};
-
-private:
-    std::string contents_;
-};
+using test::kAppend;
+using test::kGet;
+using test::RegisterServant;
 
 class EchoGroupServant : public GroupServant {
 public:
