@@ -161,6 +161,7 @@ private:
         Bytes frame;
         obs::SpanContext span;
     };
+    using UnstableStore = std::map<MsgRef, UnstableMsg>;
 
     struct InboundStream {
         Seqno next_expected{0};
@@ -258,7 +259,7 @@ private:
         /// later messages in this view leave them out (it sent them
         /// already), yet they bind those messages once our join installs.
         std::map<EndpointId, std::vector<KnowledgeEntry>> joining_barriers;
-        std::map<MsgRef, UnstableMsg> unstable;  // own + received, this epoch
+        UnstableStore unstable;  // own + received, this epoch
 
         /// The ordering engine for config.order, rebuilt at every install.
         OrderEngine engine;
@@ -349,6 +350,11 @@ private:
     /// coalesced follower), all naming msg's {epoch, sender, seq} ref.
     void trace_payloads(obs::TraceKind kind, const DataMsg& msg);
     void ingest_in_order(Group& g, DataMsg msg, Bytes frame);
+    /// Keep a stream message in g.unstable (an existing entry for `ref`
+    /// wins), in a spare map node when there is one.
+    UnstableStore::iterator store_unstable(Group& g, MsgRef ref, UnstableMsg kept);
+    /// Erase [first, last) of g.unstable, keeping the nodes as spares.
+    void drop_unstable(Group& g, UnstableStore::iterator first, UnstableStore::iterator last);
     void pump(Group& g);
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);
@@ -471,6 +477,9 @@ private:
     KnowledgeStore knowledge_;
     /// Joins awaiting completion: group name -> retry timer.
     std::map<std::string, TimerId> pending_joins_;
+    /// Emptied g.unstable nodes of any group (at most kSpareUnstable), so
+    /// a steady stream stores its messages without allocating nodes.
+    std::vector<UnstableStore::node_type> spare_unstable_;
 
     DeliverHandler deliver_handler_;
     ViewHandler view_handler_;

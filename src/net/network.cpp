@@ -120,9 +120,8 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     // the old connection.
     const std::uint32_t dst_incarnation = dst.incarnation();
     const SimTime sent_at = scheduler_->now();
-    scheduler_->schedule_at(arrival, [this, from, to, sent_at, dst_incarnation,
-                                      counters = &counters,
-                                      payload = std::move(payload)]() mutable {
+    auto deliver = [this, from, to, sent_at, dst_incarnation, counters = &counters,
+                    payload = std::move(payload)]() mutable {
         if (partition_cell_[from.value()] != partition_cell_[to.value()]) {
             ++stats_.messages_lost;
             metrics_.add(obs::metric::kNetMessagesLost);
@@ -147,7 +146,9 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
         metrics_.add(obs::metric::kNetMessagesDelivered);
         metrics_.observe(obs::metric::kNetDeliveryLatencyUs, scheduler_->now() - sent_at);
         receiver.deliver(from, std::move(payload));
-    });
+    };
+    static_assert(Task::fits_inline<decltype(deliver)>, "a wire delivery must not allocate");
+    scheduler_->schedule_at(arrival, std::move(deliver));
 }
 
 void Network::crash(NodeId id) {

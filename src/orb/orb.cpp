@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::uint8_t kMsgRequest = 1;
 constexpr std::uint8_t kMsgReply = 2;
+/// Bound on Orb::spare_pending_: more calls than this finishing at once
+/// only costs their nodes' allocation again later.
+constexpr std::size_t kSparePending = 256;
 
 void write_request(Encoder& e, std::uint64_t request_id, bool oneway, ObjectKey key,
                    std::uint32_t method, const Bytes& args) {
@@ -57,33 +60,51 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
     }
-    pending_.emplace(request_id, std::move(pending));
+    if (spare_pending_.empty()) {
+        pending_.emplace(request_id, std::move(pending));
+    } else {
+        PendingMap::node_type node = std::move(spare_pending_.back());
+        spare_pending_.pop_back();
+        node.key() = request_id;
+        node.mapped() = std::move(pending);
+        pending_.insert(std::move(node));  // request ids are unique
+    }
 
-    Bytes wire = encode_request(request_id, /*oneway=*/false, target.key, method, args);
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to = target.node, wire = std::move(wire)]() mutable {
-                           network_->send(node_, to, std::move(wire));
-                       });
+    send_marshalled(target.node,
+                    encode_request(request_id, /*oneway=*/false, target.key, method, args));
     return OrbCallId(request_id);
 }
 
 void Orb::invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& args) {
     if (process_defunct()) return;
     metrics().add(obs::metric::kOrbOneways);
-    Bytes wire = encode_request(/*request_id=*/0, /*oneway=*/true, target.key, method, args);
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to = target.node, wire = std::move(wire)]() mutable {
-                           network_->send(node_, to, std::move(wire));
-                       });
+    send_marshalled(target.node,
+                    encode_request(/*request_id=*/0, /*oneway=*/true, target.key, method, args));
+}
+
+void Orb::send_marshalled(NodeId to, Bytes wire) {
+    // The outgoing legs charge the fixed per-message cost only, not the
+    // per-byte part of calibration::marshal_cost: every committed simulated
+    // figure was produced with this charge.
+    const SimDuration cost = calibration::kPerMessageCost;
+    auto send = [this, to, wire = std::move(wire)]() mutable {
+        network_->send(node_, to, std::move(wire));
+    };
+    static_assert(Task::fits_inline<decltype(send)>, "an ORB send must not allocate");
+    network_->node(node_).cpu().execute(cost, std::move(send));
+}
+
+void Orb::retire(PendingMap::iterator it) {
+    PendingMap::node_type node = pending_.extract(it);
+    node.mapped() = Pending{};  // the handler's captures go now
+    if (spare_pending_.size() < kSparePending) spare_pending_.push_back(std::move(node));
 }
 
 void Orb::cancel(OrbCallId id) {
     auto it = pending_.find(id.value());
     if (it == pending_.end()) return;
     scheduler().cancel(it->second.timer);
-    pending_.erase(it);
+    retire(it);
 }
 
 void Orb::on_message(NodeId from, Bytes payload) {
@@ -135,8 +156,8 @@ void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
 
     const SimDuration cost =
         calibration::unmarshal_cost(args_len) + servant->execution_cost(method);
-    self.cpu().execute(cost, [this, from, request_id, oneway, key, method,
-                              wire = std::move(wire), args_off, args_len]() mutable {
+    auto dispatch = [this, from, request_id, oneway, key, method, wire = std::move(wire),
+                     args_off, args_len]() mutable {
         // Re-resolve: the object may have been deactivated while queued.
         Servant* target = adapter_.find(key);
         if (target == nullptr) {
@@ -164,7 +185,9 @@ void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
         } catch (const DecodeError& err) {
             fail(err);
         }
-    });
+    };
+    static_assert(Task::fits_inline<decltype(dispatch)>, "an ORB dispatch must not allocate");
+    self.cpu().execute(cost, std::move(dispatch));
 }
 
 void Orb::send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, Bytes payload) {
@@ -177,13 +200,7 @@ void Orb::send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, By
     e.put_u64(request_id);
     e.put_u8(static_cast<std::uint8_t>(status));
     e.put_blob(payload);
-    Bytes wire = std::move(e).take();
-
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to, wire = std::move(wire)]() mutable {
-        network_->send(node_, to, std::move(wire));
-    });
+    send_marshalled(to, std::move(e).take());
 }
 
 void Orb::handle_reply(Decoder& d) {
@@ -196,12 +213,12 @@ void Orb::handle_reply(Decoder& d) {
     if (pending_.find(request_id) == pending_.end()) return;  // late or duplicate reply
     metrics().add(obs::metric::kOrbRepliesReceived);
 
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::unmarshal_cost(payload.size()),
-                       [this, request_id, status = static_cast<ReplyStatus>(raw_status),
-                        payload = std::move(payload)] {
-                           complete(request_id, status, payload);
-                       });
+    // Per-message cost only, as on the outgoing legs (send_marshalled).
+    const SimDuration cost = calibration::kPerMessageCost;
+    auto finish = [this, request_id, status = static_cast<ReplyStatus>(raw_status),
+                   payload = std::move(payload)] { complete(request_id, status, payload); };
+    static_assert(Task::fits_inline<decltype(finish)>, "an ORB reply must not allocate");
+    network_->node(node_).cpu().execute(cost, std::move(finish));
 }
 
 void Orb::complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload) {
@@ -209,7 +226,7 @@ void Orb::complete(std::uint64_t request_id, ReplyStatus status, const Bytes& pa
     if (it == pending_.end()) return;  // cancelled or already completed
     ReplyHandler handler = std::move(it->second.handler);
     scheduler().cancel(it->second.timer);
-    pending_.erase(it);
+    retire(it);
     // A dead process runs no completion handlers; the entry is still
     // reaped above so a timeout timer from a previous life cannot leak it.
     if (process_defunct()) return;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "net/network.hpp"
 #include "orb/ior.hpp"
@@ -88,7 +89,15 @@ private:
         TimerId timer{0};
     };
 
+    using PendingMap = std::map<std::uint64_t, Pending>;
+
     void on_message(NodeId from, Bytes payload);
+    /// Charge the marshal of `wire` to this node's CPU, then put it on the
+    /// wire to `to`.
+    void send_marshalled(NodeId to, Bytes wire);
+    /// Remove a pending call, destroying its handler, and keep its map
+    /// node for the next invoke.
+    void retire(PendingMap::iterator it);
     void handle_request(NodeId from, Decoder& d, Bytes wire);
     void handle_reply(Decoder& d);
     void send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, Bytes payload);
@@ -110,7 +119,10 @@ private:
     std::uint64_t next_request_id_{1};
     // Ordered by request id so iteration (timeout sweeps, drain-on-shutdown)
     // can never leak hash-table layout into completion or trace order.
-    std::map<std::uint64_t, Pending> pending_;
+    PendingMap pending_;
+    /// Map nodes of finished calls (at most kSparePending), reused by the
+    /// next invoke: a steady call rate allocates no map nodes.
+    std::vector<PendingMap::node_type> spare_pending_;
 };
 
 }  // namespace newtop

@@ -8,7 +8,7 @@
 
 namespace newtop {
 
-void CpuQueue::execute(SimDuration cost, std::function<void()> fn) {
+void CpuQueue::execute(SimDuration cost, Task fn) {
     NEWTOP_EXPECTS(cost >= 0, "CPU cost must be non-negative");
     NEWTOP_EXPECTS(fn != nullptr, "CPU work must be callable");
     if (dead_) return;
@@ -26,20 +26,31 @@ void CpuQueue::execute(SimDuration cost, std::function<void()> fn) {
     }
     busy_until_ = start + cost;
     consumed_ += cost;
-    tasks_.push_back(std::move(fn));
+    if (queued_ == tasks_.size()) grow();
+    tasks_[(head_ + queued_) & (tasks_.size() - 1)] = std::move(fn);
+    ++queued_;
     // Tasks complete in submission order (busy_until_ only grows within an
     // epoch, and equal times run FIFO), so each completion runs the oldest
-    // queued task.  The closure fits std::function's inline buffer: the
-    // task's own callable is the only allocation it costs.
+    // queued task.
     scheduler_->schedule_at(busy_until_, [this, epoch = epoch_] { complete(epoch); });
 }
 
 void CpuQueue::complete(std::uint64_t epoch) {
-    if (epoch != epoch_) return;  // dropped by reset(): tasks_ was cleared
+    if (epoch != epoch_) return;  // dropped by reset(): the ring was cleared
     // Popped before it runs: the task may submit more work or reset the CPU.
-    const std::function<void()> fn = std::move(tasks_.front());
-    tasks_.pop_front();
+    Task fn = std::move(tasks_[head_]);
+    head_ = (head_ + 1) & (tasks_.size() - 1);
+    --queued_;
     fn();
+}
+
+void CpuQueue::grow() {
+    std::vector<Task> bigger(tasks_.empty() ? 16 : 2 * tasks_.size());
+    for (std::size_t i = 0; i < queued_; ++i) {
+        bigger[i] = std::move(tasks_[(head_ + i) & (tasks_.size() - 1)]);
+    }
+    tasks_ = std::move(bigger);
+    head_ = 0;
 }
 
 void CpuQueue::set_slowdown(double factor) {
@@ -49,7 +60,10 @@ void CpuQueue::set_slowdown(double factor) {
 
 void CpuQueue::reset() {
     ++epoch_;
-    tasks_.clear();
+    // Destroy the queued captures now; the ring keeps its slots.
+    for (std::size_t i = 0; i < queued_; ++i) tasks_[(head_ + i) & (tasks_.size() - 1)].reset();
+    head_ = 0;
+    queued_ = 0;
     busy_until_ = scheduler_->now();
     consumed_ = 0;
 }

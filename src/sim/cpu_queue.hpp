@@ -7,10 +7,11 @@
 // reports (§5.1.1).
 #pragma once
 
-#include <deque>
-#include <functional>
+#include <cstddef>
+#include <vector>
 
 #include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 #include "util/time.hpp"
 
 namespace newtop {
@@ -31,7 +32,7 @@ public:
     /// Run `fn` after `cost` microseconds of CPU time, queued FIFO behind
     /// any work already submitted.  Zero-cost work still round-trips
     /// through the scheduler so that handlers never run re-entrantly.
-    void execute(SimDuration cost, std::function<void()> fn);
+    void execute(SimDuration cost, Task fn);
 
     /// Scale the cost of every subsequently submitted task by `factor`
     /// (gray-failure injection: a slow-but-alive host).  1.0 restores
@@ -71,6 +72,8 @@ public:
 private:
     /// Completion event of the oldest queued task, submitted in `epoch`.
     void complete(std::uint64_t epoch);
+    /// Double the task ring, keeping the queued tasks in order.
+    void grow();
 
     Scheduler* scheduler_;
     obs::MetricsRegistry* metrics_{nullptr};
@@ -78,7 +81,11 @@ private:
     SimDuration consumed_{0};
     double slowdown_{1.0};
     std::uint64_t epoch_{0};
-    std::deque<std::function<void()>> tasks_;  // accepted, not yet completed
+    // Accepted, not yet completed tasks: a ring of recycled slots (the
+    // size is a power of two), so a steady queue allocates nothing.
+    std::vector<Task> tasks_;
+    std::size_t head_{0};
+    std::size_t queued_{0};
     bool dead_{false};
 };
 

@@ -19,7 +19,7 @@ TimerId pack_id(std::uint32_t slot, std::uint32_t generation) {
 
 }  // namespace
 
-TimerId Scheduler::schedule_at(SimTime at, std::function<void()> fn) {
+TimerId Scheduler::schedule_at(SimTime at, Task fn) {
     NEWTOP_EXPECTS(fn != nullptr, "scheduled function must be callable");
     std::uint32_t slot = 0;
     if (free_slots_.empty()) {
@@ -38,7 +38,7 @@ TimerId Scheduler::schedule_at(SimTime at, std::function<void()> fn) {
     return pack_id(slot, s.generation);
 }
 
-TimerId Scheduler::schedule_after(SimDuration delay, std::function<void()> fn) {
+TimerId Scheduler::schedule_after(SimDuration delay, Task fn) {
     return schedule_at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
@@ -83,7 +83,7 @@ void Scheduler::sift_down(std::size_t pos) {
     place(pos, entry);
 }
 
-std::function<void()> Scheduler::erase_at(std::size_t pos) {
+Task Scheduler::erase_at(std::size_t pos) {
     const std::uint32_t slot = heap_[pos].slot;
     const Entry last = heap_.back();
     heap_.pop_back();
@@ -95,7 +95,7 @@ std::function<void()> Scheduler::erase_at(std::size_t pos) {
     Slot& s = slots_[slot];
     ++s.generation;
     free_slots_.push_back(slot);
-    return std::exchange(s.fn, nullptr);
+    return std::move(s.fn);
 }
 
 void Scheduler::run_head() {
@@ -103,7 +103,7 @@ void Scheduler::run_head() {
     // The handler leaves its slot before it runs: the slot is free for any
     // event the handler schedules, and cancelling this event's own id from
     // inside the handler is a no-op.
-    const std::function<void()> fn = erase_at(0);
+    Task fn = erase_at(0);
     fn();
 }
 

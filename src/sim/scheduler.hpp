@@ -11,13 +11,14 @@
 // entries and touches a slot only to record the entry's new position.
 // Cancelling removes the event from the heap at once, so memory tracks the
 // live events only — not the history of timers that were armed and
-// disarmed along the way.
+// disarmed along the way.  Handlers are Tasks, whose inline storage lives
+// in the slot: a per-message closure that fits it costs no allocation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/task.hpp"
 #include "util/time.hpp"
 
 namespace newtop {
@@ -37,10 +38,10 @@ public:
     [[nodiscard]] SimTime now() const { return now_; }
 
     /// Schedule `fn` to run at absolute time `at` (clamped to now()).
-    TimerId schedule_at(SimTime at, std::function<void()> fn);
+    TimerId schedule_at(SimTime at, Task fn);
 
     /// Schedule `fn` to run `delay` from now (negative delays run "now").
-    TimerId schedule_after(SimDuration delay, std::function<void()> fn);
+    TimerId schedule_after(SimDuration delay, Task fn);
 
     /// Cancel a pending event: it is removed at once and its handler is
     /// destroyed.  Cancelling id 0, or an event that has already fired or
@@ -69,7 +70,7 @@ private:
     struct Slot {
         std::uint32_t generation{0};  // bumped each time the slot is freed
         std::uint32_t heap_pos{0};    // index into heap_ while pending
-        std::function<void()> fn;
+        Task fn;
     };
 
     /// A pending event's heap entry: its ordering key and its slot.
@@ -87,7 +88,7 @@ private:
     void sift_down(std::size_t pos);
     /// Remove the heap entry at `pos`, return its slot to the free list and
     /// hand back the slot's handler.
-    std::function<void()> erase_at(std::size_t pos);
+    Task erase_at(std::size_t pos);
     /// Pop the earliest event, advance now() to it and run its handler.
     void run_head();
 

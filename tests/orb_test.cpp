@@ -149,6 +149,48 @@ TEST_F(OrbFixture, CancelSuppressesHandler) {
     EXPECT_EQ(servant->calls, 1);  // server still executed the request
 }
 
+// Finished calls hand their map nodes to later calls: a recycled node must
+// carry only its new call's handler, whether the old call was cancelled or
+// timed out.
+TEST_F(OrbFixture, RecycledCallNeverRunsAnOldHandler) {
+    int cancelled_runs = 0;
+    const OrbCallId cancelled = client.invoke(
+        target, kEcho, Bytes{}, [&](ReplyStatus, const Bytes&) { ++cancelled_runs; }, 1_s);
+    client.cancel(cancelled);
+    scheduler.run();
+
+    net.crash(server_node);
+    int timed_out_runs = 0;
+    client.invoke(target, kEcho, Bytes{}, [&](ReplyStatus s, const Bytes&) {
+        ++timed_out_runs;
+        EXPECT_EQ(s, ReplyStatus::kTimeout);
+    }, 10_ms);
+    scheduler.run();
+    ASSERT_EQ(timed_out_runs, 1);
+
+    Orb& revived = add_orb();
+    const Ior other = revived.adapter().activate(std::make_shared<TestServant>(), "Test");
+    std::vector<ReplyStatus> fresh;
+    for (int i = 0; i < 3; ++i) {
+        client.invoke(other, kEcho, Bytes{},
+                      [&](ReplyStatus s, const Bytes&) { fresh.push_back(s); }, 1_s);
+    }
+    scheduler.run();
+    EXPECT_EQ(fresh, std::vector<ReplyStatus>(3, ReplyStatus::kOk));
+    EXPECT_EQ(cancelled_runs, 0);
+    EXPECT_EQ(timed_out_runs, 1);
+}
+
+TEST_F(OrbFixture, CancelDestroysTheHandlerAtOnce) {
+    const auto held = std::make_shared<int>(1);
+    const OrbCallId id =
+        client.invoke(target, kEcho, Bytes{}, [held](ReplyStatus, const Bytes&) {}, 1_s);
+    EXPECT_EQ(held.use_count(), 2);
+    client.cancel(id);
+    EXPECT_EQ(held.use_count(), 1);
+    scheduler.run();
+}
+
 TEST_F(OrbFixture, OnewayExecutesWithoutReply) {
     client.invoke_oneway(target, kEcho, encode_to_bytes(std::string("fire")));
     scheduler.run();

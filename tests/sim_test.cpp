@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/cpu_queue.hpp"
@@ -150,6 +152,52 @@ TEST(Scheduler, EventsScheduledDuringRunAreExecuted) {
 TEST(Scheduler, NullFunctionRejected) {
     Scheduler s;
     EXPECT_THROW(s.schedule_at(1, nullptr), PreconditionError);
+}
+
+TEST(Scheduler, EmptyStdFunctionRejected) {
+    Scheduler s;
+    EXPECT_THROW(s.schedule_at(1, std::function<void()>{}), PreconditionError);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, InlineAndHeapHandlersBothRun) {
+    Scheduler s;
+    const std::array<std::uint64_t, 4> small{1, 2, 3, 4};
+    std::array<std::uint64_t, 32> large{};
+    large.back() = 5;
+    std::uint64_t sum = 0;
+    auto fits = [&sum, small] { sum += small[3]; };
+    auto spills = [&sum, large] { sum += large.back(); };
+    static_assert(Task::fits_inline<decltype(fits)>);
+    static_assert(!Task::fits_inline<decltype(spills)>);
+    s.schedule_at(1, fits);
+    s.schedule_at(2, spills);
+    s.run();
+    EXPECT_EQ(sum, 9u);
+}
+
+TEST(Scheduler, MoveOnlyCapturesWork) {
+    Scheduler s;
+    int got = 0;
+    s.schedule_at(1, [&got, owned = std::make_unique<int>(7)] { got = *owned; });
+    s.run();
+    EXPECT_EQ(got, 7);
+}
+
+TEST(Scheduler, CancelDestroysCapturesAtOnce) {
+    Scheduler s;
+    const auto inline_held = std::make_shared<int>(1);
+    const auto heap_held = std::make_shared<int>(2);
+    std::array<std::uint64_t, 32> padding{};
+    const TimerId a = s.schedule_at(10, [inline_held] { FAIL() << "cancelled"; });
+    const TimerId b = s.schedule_at(10, [heap_held, padding] { FAIL() << padding[0]; });
+    EXPECT_EQ(inline_held.use_count(), 2);
+    EXPECT_EQ(heap_held.use_count(), 2);
+    s.cancel(a);
+    s.cancel(b);
+    EXPECT_EQ(inline_held.use_count(), 1);
+    EXPECT_EQ(heap_held.use_count(), 1);
+    s.run();
 }
 
 TEST(Scheduler, PendingCountExcludesCancelled) {
@@ -395,6 +443,38 @@ TEST(CpuQueue, WorkAfterResetRuns) {
     cpu.execute(10, [&] { ran = true; });
     s.run();
     EXPECT_TRUE(ran);
+}
+
+TEST(CpuQueue, EmptyStdFunctionRejected) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    EXPECT_THROW(cpu.execute(1, std::function<void()>{}), PreconditionError);
+    EXPECT_EQ(cpu.busy_until(), 0);
+}
+
+TEST(CpuQueue, RunsMoveOnlyTasksInOrderAcrossRingGrowth) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    std::vector<int> order;
+    // Enough queued tasks to grow the ring several times.
+    for (int i = 0; i < 100; ++i) {
+        cpu.execute(1, [&order, owned = std::make_unique<int>(i)] { order.push_back(*owned); });
+    }
+    s.run();
+    ASSERT_EQ(order.size(), 100u);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(CpuQueue, ResetDestroysQueuedCapturesAtOnce) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    const auto held = std::make_shared<int>(1);
+    cpu.execute(10, [held] {});
+    cpu.execute(10, [held] {});
+    EXPECT_EQ(held.use_count(), 3);
+    cpu.reset();
+    EXPECT_EQ(held.use_count(), 1);
+    s.run();
 }
 
 TEST(CpuQueue, NegativeCostRejected) {
