@@ -762,24 +762,29 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
 
     const bool own = msg.sender == id_;
     if (deliver_handler_) {
-        // Hand each payload to the application object over the colocated ORB
-        // boundary (message m3 of fig. 9): costs CPU but no wire traffic.
-        // Coalesced payloads unpack here, in their submission order.
-        auto hand_off = [&](Bytes payload) {
-            Delivery delivery{g.id, msg.sender, msg.ts, std::move(payload)};
-            orb_->network().node(orb_->node_id()).cpu().execute(
-                calibration::kLocalHandoffCost,
-                [handler = deliver_handler_, delivery = std::move(delivery)] {
-                    handler(delivery);
-                });
+        // Hand the message to the application object over the colocated ORB
+        // boundary (message m3 of fig. 9): CPU but no wire traffic.  A
+        // coalesced batch is one upcall, as it is one unit for ordering,
+        // stability, NACK and the cut: the task hands every payload over,
+        // in submission order, at one instant.
+        auto upcall = [handler = deliver_handler_,
+                       delivery = Delivery{g.id, msg.sender, msg.ts, std::move(msg.payload)},
+                       batch = std::move(msg.batch)]() mutable {
+            handler(delivery);
+            for (Bytes& extra : batch) {
+                delivery.payload = std::move(extra);
+                handler(delivery);
+            }
         };
-        hand_off(std::move(msg.payload));
-        for (Bytes& extra : msg.batch) hand_off(std::move(extra));
+        static_assert(Task::fits_inline<decltype(upcall)>,
+                      "an application hand-off must not allocate");
+        orb_->network().node(orb_->node_id()).cpu().execute(calibration::kLocalHandoffCost,
+                                                            std::move(upcall));
     }
 
-    // Self-delivery returns a window credit; drain *after* the handler
-    // hand-offs above are queued so a synchronously-delivered drained send
-    // cannot jump ahead of this message at the application.
+    // Self-delivery returns a window credit; drain *after* the hand-off
+    // above is queued so a synchronously-delivered drained send cannot
+    // jump ahead of this message at the application.
     if (own && g.config.order_window != 0) {
         if (g.inflight_sends > 0) --g.inflight_sends;
         drain_coalesced(g);

@@ -12,6 +12,7 @@
 #include "endpoint_world.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
+#include "sim/cpu_queue.hpp"
 #include "trace_oracle.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -855,6 +856,121 @@ TEST_F(LanGcs, SymmetricModeAlsoCoalesces) {
     EXPECT_EQ(world.log_of(a, g), expected);
     EXPECT_EQ(world.log_of(b, g), expected);
     EXPECT_GT(world.net.metrics().counter("gcs.sends_coalesced"), 0u);
+}
+
+// -- application hand-off -------------------------------------------------------------
+
+/// A 3-member sequencer group on one LAN (a sequences, b sends, c only
+/// receives) with a send window of one credit: a burst from b leaves as
+/// two DataMsgs, the head alone and every later payload coalesced into
+/// the one batch the returned credit releases.  Each member's handler logs
+/// what it is handed and when.
+struct HandoffWorld {
+    static constexpr int kBurst = 12;
+    struct Seen {
+        std::string payload;
+        SimTime at;
+    };
+
+    HandoffWorld() : world(calibration::make_lan_topology()) {
+        GroupConfig cfg = config_for(OrderMode::kTotalAsymmetric);
+        cfg.order_window = 1;
+        for (std::size_t i = 0; i < 3; ++i) world.add_endpoint(SiteId(0));
+        g = world.ep(a).create_group("g", cfg);
+        world.ep(b).join_group("g");
+        world.run_for(100_ms);
+        world.ep(c).join_group("g");
+        world.run_for(100_ms);
+        for (const std::size_t i : {a, b, c}) {
+            world.ep(i).set_deliver_handler([this, i](const GroupCommEndpoint::Delivery& d) {
+                seen[i].push_back(Seen{to_string(d.payload), world.scheduler.now()});
+            });
+        }
+    }
+
+    void burst() {
+        for (int k = 0; k < kBurst; ++k) world.ep(b).multicast(g, payload_of(label(k)));
+    }
+    static std::string label(int k) { return test::label("m", k); }
+    std::vector<std::string> payloads(std::size_t i) const {
+        std::vector<std::string> out;
+        for (const Seen& entry : seen[i]) out.push_back(entry.payload);
+        return out;
+    }
+    CpuQueue& cpu(std::size_t i) { return world.net.node(world.orbs[i]->node_id()).cpu(); }
+
+    GcsWorld world;
+    const std::size_t a = 0, b = 1, c = 2;
+    GroupId g;
+    std::vector<Seen> seen[3];
+};
+
+std::vector<std::string> burst_labels() {
+    std::vector<std::string> out;
+    for (int k = 0; k < HandoffWorld::kBurst; ++k) out.push_back(HandoffWorld::label(k));
+    return out;
+}
+
+TEST(Handoff, CoalescedBatchReachesTheAppInOrderAtOneInstant) {
+    HandoffWorld h;
+    h.burst();
+    h.world.run_for(2_s);
+    const auto* batches = h.world.net.metrics().histogram("gcs.send_batch_payloads");
+    ASSERT_NE(batches, nullptr);
+    ASSERT_EQ(batches->count(), 1u);
+    ASSERT_GE(batches->max(), SimDuration{8});
+    for (const std::size_t i : {h.a, h.b, h.c}) {
+        SCOPED_TRACE(i);
+        ASSERT_EQ(h.payloads(i), burst_labels());
+        EXPECT_LT(h.seen[i][0].at, h.seen[i][1].at);  // the head travelled alone
+        for (std::size_t k = 2; k < h.seen[i].size(); ++k) EXPECT_EQ(h.seen[i][k].at, h.seen[i][1].at);
+    }
+}
+
+TEST(Handoff, OneHandoffCostPerDeliveredDataMsg) {
+    HandoffWorld h;
+    HandoffWorld bare;  // c hands nothing to an application
+    bare.world.ep(bare.c).set_deliver_handler(nullptr);
+    h.burst();
+    bare.burst();
+    h.world.run_for(2_s);
+    bare.world.run_for(2_s);
+    ASSERT_EQ(h.payloads(h.c), burst_labels());
+    EXPECT_EQ(bare.world.ep(bare.c).group_stats(bare.g).delivered,
+              static_cast<std::uint64_t>(HandoffWorld::kBurst));
+    // Everything else c did is the same, so the difference is its upcalls:
+    // one for the head and one for the whole batch.
+    EXPECT_EQ(h.cpu(h.c).consumed() - bare.cpu(bare.c).consumed(),
+              2 * calibration::kLocalHandoffCost);
+    EXPECT_EQ(h.cpu(h.a).consumed(), bare.cpu(bare.a).consumed());
+    EXPECT_EQ(h.cpu(h.b).consumed(), bare.cpu(bare.b).consumed());
+}
+
+TEST(Handoff, CrashBeforeTheUpcallDropsTheWholeBatch) {
+    SimTime last_at = 0;
+    {
+        HandoffWorld probe;
+        probe.burst();
+        probe.world.run_for(2_s);
+        ASSERT_EQ(probe.seen[probe.c].size(), static_cast<std::size_t>(HandoffWorld::kBurst));
+        last_at = probe.seen[probe.c].back().at;
+    }
+    // Same run, but c crashes just before its last payload is handed over:
+    // the batch was delivered and its upcall queued at least one hand-off
+    // earlier.  Had each payload its own hand-off, the ones before the
+    // last would already be through.
+    HandoffWorld h;
+    h.burst();
+    const NodeId c_node = h.world.orbs[h.c]->node_id();
+    std::uint64_t delivered_at_crash = 0;
+    h.world.scheduler.schedule_at(last_at - 1, [&] {
+        delivered_at_crash = h.world.ep(h.c).group_stats(h.g).delivered;
+        h.world.net.crash(c_node);
+    });
+    h.world.run_for(2_s);
+    EXPECT_EQ(delivered_at_crash, static_cast<std::uint64_t>(HandoffWorld::kBurst));
+    EXPECT_EQ(h.payloads(h.c), std::vector<std::string>{HandoffWorld::label(0)});
+    EXPECT_EQ(h.payloads(h.a), burst_labels());
 }
 
 TEST_F(LanGcs, StabilityPrunesUnstableStore) {
