@@ -22,10 +22,6 @@ namespace {
 constexpr SimDuration kNackDelay = 2_ms;
 constexpr SimDuration kNackRetry = 10_ms;
 
-/// Bound on spare unstable-store nodes per endpoint: more messages than
-/// this turning stable at once only costs their nodes' allocation again.
-constexpr std::size_t kSpareUnstable = 1024;
-
 /// Creation- and proposal-time configuration sanity.  The one that bites in
 /// practice: a view-change round must be allowed strictly more time than
 /// the suspicion timeout, or the coordinator gets suspected by followers
@@ -425,8 +421,8 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     } else {
         // Kept exactly as sent, barriers included: a NACK retransmission
         // and our flush contribution resend this very frame.
-        const auto stored =
-            store_unstable(g, MsgRef{id_, msg.seq}, UnstableMsg{encode_gcs_message(msg), msg.span});
+        const auto stored = spare_unstable_.insert(g.unstable, MsgRef{id_, msg.seq},
+                                                   UnstableMsg{encode_gcs_message(msg), msg.span});
         multicast_wire(g, stored->second.frame);
     }
 
@@ -553,34 +549,10 @@ void GroupCommEndpoint::trace_payloads(obs::TraceKind kind, const DataMsg& msg) 
     }
 }
 
-GroupCommEndpoint::UnstableStore::iterator GroupCommEndpoint::store_unstable(Group& g, MsgRef ref,
-                                                                             UnstableMsg kept) {
-    if (spare_unstable_.empty()) return g.unstable.emplace(ref, std::move(kept)).first;
-    UnstableStore::node_type node = std::move(spare_unstable_.back());
-    spare_unstable_.pop_back();
-    node.key() = ref;
-    node.mapped() = std::move(kept);
-    auto stored = g.unstable.insert(std::move(node));
-    if (!stored.inserted) {
-        stored.node.mapped() = UnstableMsg{};
-        spare_unstable_.push_back(std::move(stored.node));
-    }
-    return stored.position;
-}
-
-void GroupCommEndpoint::drop_unstable(Group& g, UnstableStore::iterator first,
-                                      UnstableStore::iterator last) {
-    while (first != last) {
-        UnstableStore::node_type node = g.unstable.extract(first++);
-        if (spare_unstable_.size() == kSpareUnstable) continue;  // freed here
-        node.mapped() = UnstableMsg{};
-        spare_unstable_.push_back(std::move(node));
-    }
-}
-
 void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg, Bytes frame) {
     note_payload_arrival(msg);
-    store_unstable(g, MsgRef{msg.sender, msg.seq}, UnstableMsg{std::move(frame), msg.span});
+    spare_unstable_.insert(g.unstable, MsgRef{msg.sender, msg.seq},
+                           UnstableMsg{std::move(frame), msg.span});
     auto* sequencer = std::get_if<SequencerOrder>(&g.engine);
     if (sequencer == nullptr || msg.kind != DataKind::kOrder) {
         on_data(g.engine, std::move(msg));

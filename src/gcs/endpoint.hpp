@@ -34,6 +34,7 @@
 #include "gcs/types.hpp"
 #include "gcs/view.hpp"
 #include "orb/orb.hpp"
+#include "util/spare_nodes.hpp"
 
 namespace newtop {
 
@@ -350,11 +351,6 @@ private:
     /// coalesced follower), all naming msg's {epoch, sender, seq} ref.
     void trace_payloads(obs::TraceKind kind, const DataMsg& msg);
     void ingest_in_order(Group& g, DataMsg msg, Bytes frame);
-    /// Keep a stream message in g.unstable (an existing entry for `ref`
-    /// wins), in a spare map node when there is one.
-    UnstableStore::iterator store_unstable(Group& g, MsgRef ref, UnstableMsg kept);
-    /// Erase [first, last) of g.unstable, keeping the nodes as spares.
-    void drop_unstable(Group& g, UnstableStore::iterator first, UnstableStore::iterator last);
     void pump(Group& g);
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);
@@ -477,9 +473,9 @@ private:
     KnowledgeStore knowledge_;
     /// Joins awaiting completion: group name -> retry timer.
     std::map<std::string, TimerId> pending_joins_;
-    /// Emptied g.unstable nodes of any group (at most kSpareUnstable), so
-    /// a steady stream stores its messages without allocating nodes.
-    std::vector<UnstableStore::node_type> spare_unstable_;
+    /// Emptied g.unstable nodes of any group, so a steady stream stores
+    /// its messages without allocating nodes.
+    SpareNodes<UnstableStore> spare_unstable_{1024};
 
     DeliverHandler deliver_handler_;
     ViewHandler view_handler_;

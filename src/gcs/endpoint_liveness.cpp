@@ -297,7 +297,7 @@ void GroupCommEndpoint::recompute_stability(Group& g) {
         if (floor == 0) continue;
         const auto begin = g.unstable.lower_bound(MsgRef{sender, 0});
         const auto end = g.unstable.lower_bound(MsgRef{sender, floor});
-        drop_unstable(g, begin, end);
+        spare_unstable_.erase(g.unstable, begin, end);
     }
 }
 

@@ -482,7 +482,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.own_delivered_count = 0;
     g.release_queue.clear();
     g.joining_barriers.clear();  // each sender's first send here carries all
-    drop_unstable(g, g.unstable.begin(), g.unstable.end());
+    spare_unstable_.erase(g.unstable, g.unstable.begin(), g.unstable.end());
     g.stability_reports.clear();
     g.vc_flushed.clear();
     g.vc_cut.clear();

@@ -13,9 +13,6 @@ namespace {
 
 constexpr std::uint8_t kMsgRequest = 1;
 constexpr std::uint8_t kMsgReply = 2;
-/// Bound on Orb::spare_pending_: more calls than this finishing at once
-/// only costs their nodes' allocation again later.
-constexpr std::size_t kSparePending = 256;
 
 void write_request(Encoder& e, std::uint64_t request_id, bool oneway, ObjectKey key,
                    std::uint32_t method, const Bytes& args) {
@@ -60,15 +57,7 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
     }
-    if (spare_pending_.empty()) {
-        pending_.emplace(request_id, std::move(pending));
-    } else {
-        PendingMap::node_type node = std::move(spare_pending_.back());
-        spare_pending_.pop_back();
-        node.key() = request_id;
-        node.mapped() = std::move(pending);
-        pending_.insert(std::move(node));  // request ids are unique
-    }
+    spare_pending_.insert(pending_, request_id, std::move(pending));
 
     send_marshalled(target.node,
                     encode_request(request_id, /*oneway=*/false, target.key, method, args));
@@ -94,17 +83,11 @@ void Orb::send_marshalled(NodeId to, Bytes wire) {
     network_->node(node_).cpu().execute(cost, std::move(send));
 }
 
-void Orb::retire(PendingMap::iterator it) {
-    PendingMap::node_type node = pending_.extract(it);
-    node.mapped() = Pending{};  // the handler's captures go now
-    if (spare_pending_.size() < kSparePending) spare_pending_.push_back(std::move(node));
-}
-
 void Orb::cancel(OrbCallId id) {
     auto it = pending_.find(id.value());
     if (it == pending_.end()) return;
     scheduler().cancel(it->second.timer);
-    retire(it);
+    spare_pending_.erase(pending_, it);
 }
 
 void Orb::on_message(NodeId from, Bytes payload) {
@@ -226,7 +209,7 @@ void Orb::complete(std::uint64_t request_id, ReplyStatus status, const Bytes& pa
     if (it == pending_.end()) return;  // cancelled or already completed
     ReplyHandler handler = std::move(it->second.handler);
     scheduler().cancel(it->second.timer);
-    retire(it);
+    spare_pending_.erase(pending_, it);
     // A dead process runs no completion handlers; the entry is still
     // reaped above so a timeout timer from a previous life cannot leak it.
     if (process_defunct()) return;

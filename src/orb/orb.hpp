@@ -12,12 +12,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "net/network.hpp"
 #include "orb/ior.hpp"
 #include "orb/object_adapter.hpp"
 #include "serial/arena.hpp"
+#include "util/spare_nodes.hpp"
 
 namespace newtop {
 
@@ -95,9 +95,6 @@ private:
     /// Charge the marshal of `wire` to this node's CPU, then put it on the
     /// wire to `to`.
     void send_marshalled(NodeId to, Bytes wire);
-    /// Remove a pending call, destroying its handler, and keep its map
-    /// node for the next invoke.
-    void retire(PendingMap::iterator it);
     void handle_request(NodeId from, Decoder& d, Bytes wire);
     void handle_reply(Decoder& d);
     void send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, Bytes payload);
@@ -120,9 +117,9 @@ private:
     // Ordered by request id so iteration (timeout sweeps, drain-on-shutdown)
     // can never leak hash-table layout into completion or trace order.
     PendingMap pending_;
-    /// Map nodes of finished calls (at most kSparePending), reused by the
-    /// next invoke: a steady call rate allocates no map nodes.
-    std::vector<PendingMap::node_type> spare_pending_;
+    /// Map nodes of finished calls, reused by the next invoke: a steady
+    /// call rate allocates no map nodes.
+    SpareNodes<PendingMap> spare_pending_{256};
 };
 
 }  // namespace newtop
